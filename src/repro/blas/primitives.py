@@ -27,7 +27,7 @@ validates the paper's closed-form operation counts (eqs. 25–32) against
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -115,7 +115,10 @@ def active_counter() -> FlopCounter | None:
 _CATEGORY: list[str] = ["misc"]
 
 
-@contextmanager
+#: What :func:`category` returns when nothing would record it.
+_NO_CATEGORY = nullcontext()
+
+
 def category(name: str):
     """Attribute all charges inside the block to ``name``.
 
@@ -123,8 +126,17 @@ def category(name: str):
     time is also folded into the current span's phase accumulator
     (:func:`repro.obs.record_phase`) — that is how the Schur loop's
     blocking / application / panel split surfaces in ``--profile``
-    output without per-call child spans.
+    output without per-call child spans.  With no counter active and
+    observability off nothing would see the category, so a shared no-op
+    context is returned (the Schur loop enters one per reflector).
     """
+    if not _STACK and not _obs.enabled():
+        return _NO_CATEGORY
+    return _category(name)
+
+
+@contextmanager
+def _category(name: str):
     _CATEGORY.append(name)
     if _obs.enabled() and _obs.current_span() is not None:
         t0 = perf_counter()

@@ -12,8 +12,9 @@ structure the whole library is built on says the information content is
   ``(ĝ, b̂)`` and the root-of-unity node sets ``(d₁, d₂)`` — the pivoted
   elimination that rebuilds ``L``/``U``/``perm`` from them is
   deterministic;
-* only the Schur factorizations keep their dense ``R`` (and then
-  memory-mapping, not size, makes the warm start cheap).
+* only the Schur factorizations keep their ``R``, as the ``n(n+1)/2``
+  packed buffer they hold in memory (:mod:`repro.core.packed`); there
+  memory-mapping, not size, makes the warm start cheap.
 
 :class:`CompactFactorization` is the schema: a ``kind`` tag, a dict of
 named arrays at the representation's natural size, and JSON-safe
@@ -39,14 +40,14 @@ __all__ = [
 
 #: Bump when the (kind, arrays, meta) schema below changes shape; the
 #: store treats entries written under another version as stale misses.
-COMPACT_SCHEMA_VERSION = 1
+COMPACT_SCHEMA_VERSION = 2
 
 KIND_GS = "gs"
 KIND_GKO = "gko-generators"
-KIND_SPD_DENSE = "spd-dense-r"
-KIND_INDEFINITE_DENSE = "indefinite-dense-r"
+KIND_SPD_PACKED = "spd-packed-r"
+KIND_INDEFINITE_PACKED = "indefinite-packed-r"
 
-COMPACT_KINDS = (KIND_GS, KIND_GKO, KIND_SPD_DENSE, KIND_INDEFINITE_DENSE)
+COMPACT_KINDS = (KIND_GS, KIND_GKO, KIND_SPD_PACKED, KIND_INDEFINITE_PACKED)
 
 
 def array_hash(arr: np.ndarray) -> str:
@@ -92,7 +93,7 @@ class CompactFactorization:
         generators (``O(mn)``),
         :class:`~repro.core.schur_spd.SPDFactorization` and
         :class:`~repro.core.schur_indefinite.IndefiniteFactorization`
-        (dense-``R`` fallback).  Everything else — distributed
+        (packed ``R``, ``n(n+1)/2`` words).  Everything else — distributed
         factorizations holding backend state, refinement traces, PCG
         records — has no meaningful at-rest form and is rejected.
         """
@@ -122,15 +123,15 @@ class CompactFactorization:
                        meta={"block_size": int(fact.block_size),
                              "precision": fact.precision})
         if isinstance(fact, SPDFactorization):
-            return cls(kind=KIND_SPD_DENSE,
-                       arrays={"r": fact.r},
+            return cls(kind=KIND_SPD_PACKED,
+                       arrays={"r": fact.packed.data},
                        meta={"block_size": int(fact.block_size),
                              "num_blocks": int(fact.num_blocks),
                              "precision": fact.precision,
                              "options": _dc.asdict(fact.options)})
         if isinstance(fact, IndefiniteFactorization):
-            return cls(kind=KIND_INDEFINITE_DENSE,
-                       arrays={"r": fact.r,
+            return cls(kind=KIND_INDEFINITE_PACKED,
+                       arrays={"r": fact.packed.data,
                                "d": np.asarray(fact.d),
                                "transform_norms":
                                    np.asarray(fact.transform_norms,
@@ -150,12 +151,13 @@ class CompactFactorization:
     def restore(self):
         """Rebuild the live factorization object this entry encodes.
 
-        GS and the dense kinds reconstruct directly from the stored
-        arrays (which may be read-only memory maps — every consumer
-        treats factors as immutable).  The GKO kind re-runs the pivoted
-        generator elimination: ``O(mn²)`` work, but deterministic — the
-        rebuilt ``L``/``U``/``perm`` are bit-identical to the originals
-        — and still far cheaper at rest than storing ``O(n²)`` factors.
+        GS and the packed kinds reconstruct directly from the stored
+        arrays (which may be read-only memory maps, wrapped without a
+        copy — every consumer treats factors as immutable).  The GKO
+        kind re-runs the pivoted generator elimination: ``O(mn²)``
+        work, but deterministic — the rebuilt ``L``/``U``/``perm`` are
+        bit-identical to the originals — and still far cheaper at rest
+        than storing ``O(n²)`` factors.
         """
         if self.kind == KIND_GS:
             from repro.core.gohberg_semencul import ToeplitzInverse
@@ -176,22 +178,22 @@ class CompactFactorization:
             fact.precision = precision
             fact.generators = (ghat, bhat, d1, d2)
             return fact
-        if self.kind == KIND_SPD_DENSE:
+        if self.kind == KIND_SPD_PACKED:
             from repro.core.schur_spd import SchurOptions, SPDFactorization
             return SPDFactorization(
-                r=self.arrays["r"],
+                packed=self._packed_r(),
                 block_size=int(self.meta["block_size"]),
                 num_blocks=int(self.meta["num_blocks"]),
                 options=SchurOptions(**self.meta["options"]),
                 precision=self.meta.get("precision", "fp64"))
-        if self.kind == KIND_INDEFINITE_DENSE:
+        if self.kind == KIND_INDEFINITE_PACKED:
             from repro.core.schur_indefinite import (
                 IndefiniteFactorization,
                 InterchangeEvent,
                 PerturbationEvent,
             )
             return IndefiniteFactorization(
-                r=self.arrays["r"],
+                packed=self._packed_r(),
                 d=np.asarray(self.arrays["d"]),
                 block_size=int(self.meta["block_size"]),
                 num_blocks=int(self.meta["num_blocks"]),
@@ -205,3 +207,9 @@ class CompactFactorization:
         raise UnsupportedFactorizationError(
             f"unknown compact kind {self.kind!r}; expected one of "
             f"{COMPACT_KINDS}")
+
+    def _packed_r(self):
+        """The stored ``R`` buffer wrapped as a packed triangle."""
+        from repro.core.packed import PackedUpper
+        return PackedUpper(self.arrays["r"], int(self.meta["block_size"])
+                           * int(self.meta["num_blocks"]))

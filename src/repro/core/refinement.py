@@ -56,7 +56,8 @@ class RefinementResult:
     converged : bool
         True when the stopping rule ``‖Δx‖ < tol·‖x‖`` fired (or the
         correction stagnated at rounding level) — for a panel, in every
-        column.
+        column.  A correction that stops shrinking while the residual
+        grows is divergence and reports ``False``.
     residual_norms : list of float
         ``‖b − T x_i‖₂`` after each iterate (index 0 = initial solve).
         For a panel each entry is the worst per-column 2-norm.
@@ -200,9 +201,10 @@ def refine(factorization, t: SymmetricBlockToeplitz, b: np.ndarray, *,
                                        iteration=str(it + 1))
             if keep_history:
                 history.append(x.copy())
-            # Stagnation: corrections no longer shrinking ⇒ rounding floor.
+            # Stagnation: corrections no longer shrinking.
             if len(corr_norms) >= 2 and dx_norm > 0.5 * corr_norms[-2]:
-                converged = True
+                converged = bool(_at_floor(res_norms[-1], res_norms[-2],
+                                           dx_norm, x_norm, tol))
                 break
         sp.set(iterations=len(corr_norms), converged=converged,
                final_residual=res_norms[-1])
@@ -223,6 +225,19 @@ def refine(factorization, t: SymmetricBlockToeplitz, b: np.ndarray, *,
     )
 
 
+def _at_floor(res_after, res_before, dx_norm, x_norm, tol):
+    """Whether a correction that failed to halve hit the rounding floor.
+
+    It did when the residual held, or when the correction is already
+    rounding-sized (``‖Δx‖ ≤ √tol·‖x‖``), where residual changes are
+    noise.  A residual that grew under a correction of real size means
+    the iteration diverges (``γ = ‖ΔT T⁻¹‖ > 1``), not that it
+    converged.  Works elementwise on per-column arrays.
+    """
+    return ((res_after <= res_before)
+            | (dx_norm <= np.sqrt(tol) * x_norm))
+
+
 def _refine_block(factorization, emb: BlockCirculantEmbedding,
                   b: np.ndarray, *, tol: float, max_iter: int,
                   keep_history: bool,
@@ -232,9 +247,10 @@ def _refine_block(factorization, emb: BlockCirculantEmbedding,
     Column semantics match the scalar loop exactly: a column whose
     correction passes the tolerance test converges *without* that
     correction applied; a column whose correction stops shrinking
-    (after ≥ 2 corrections) converges *with* it applied (rounding
-    floor).  Only still-active columns enter the factored solve and the
-    residual matvec of later sweeps.
+    (after ≥ 2 corrections) stops *with* it applied, converged when
+    :func:`_at_floor` says it reached the rounding floor.  Only
+    still-active columns enter the factored solve and the residual
+    matvec of later sweeps.
     """
     b, _ = as_panel(b)
     k = b.shape[1]
@@ -274,6 +290,7 @@ def _refine_block(factorization, emb: BlockCirculantEmbedding,
                 small = dx_norm < tol * np.maximum(x_norm, 1e-300)
                 converged_mask[active[small]] = True
                 apply_cols = active[~small]
+                res_before = col_res[apply_cols]
                 if apply_cols.size:
                     x[:, apply_cols] += dx[:, ~small]
                     r[:, apply_cols] = (b[:, apply_cols]
@@ -285,13 +302,15 @@ def _refine_block(factorization, emb: BlockCirculantEmbedding,
                         residual_gauge.set(res_norms[-1])
                         residual_gauge.set(res_norms[-1],
                                            iteration=str(it + 1))
-                # Stagnation: correction no longer shrinking ⇒ rounding
-                # floor; converged *with* the correction applied.
+                # Stagnation: correction no longer shrinking; the
+                # column stops *with* the correction applied.
                 applied_norm = dx_norm[~small]
                 stag = ((computed[apply_cols] >= 2)
                         & (applied_norm > 0.5 * prev_corr[apply_cols]))
                 prev_corr[apply_cols] = applied_norm
-                converged_mask[apply_cols[stag]] = True
+                converged_mask[apply_cols[stag]] = _at_floor(
+                    col_res[apply_cols], res_before, applied_norm,
+                    x_norm[~small], tol)[stag]
                 active = apply_cols[~stag]
             if keep_history:
                 history.append(x.copy())

@@ -33,6 +33,7 @@ import repro.obs as obs
 from repro.blas import primitives as blas
 from repro.core.generator import Generator, indefinite_generator
 from repro.core.hyperbolic import reflector_annihilating
+from repro.core.packed import PackedUpper
 from repro.core.precision import (
     elimination_dtype,
     flush_tiny,
@@ -43,8 +44,7 @@ from repro.core.schur_spd import _apply_reflector_pair
 from repro.errors import BreakdownError, SingularMinorError
 from repro.obs import health
 from repro.toeplitz.block_toeplitz import SymmetricBlockToeplitz
-from repro.utils.lintools import as_panel, from_panel, \
-    solve_upper_triangular
+from repro.utils.lintools import as_panel, from_panel
 
 __all__ = [
     "PerturbationEvent",
@@ -89,11 +89,12 @@ class InterchangeEvent:
 class IndefiniteFactorization:
     """Result of :func:`schur_indefinite_factor`: ``T + δT = Rᵀ D R``.
 
-    ``R`` is upper triangular with positive diagonal, ``d`` the ±1
+    ``R`` is upper triangular with positive diagonal, held in ``packed``
+    (``n(n+1)/2`` words, see :mod:`repro.core.packed`); ``d`` is the ±1
     diagonal of ``D``.  ``δT = 0`` when ``perturbations`` is empty.
     """
 
-    r: np.ndarray
+    packed: PackedUpper
     d: np.ndarray
     block_size: int
     num_blocks: int
@@ -107,13 +108,21 @@ class IndefiniteFactorization:
     precision: str = "fp64"
 
     @property
+    def r(self) -> np.ndarray:
+        """Dense read-only ``R``: unpacked on first access, then kept.
+
+        Solves never read it; it exists for inspection and tests.
+        """
+        return self.packed.dense
+
+    @property
     def order(self) -> int:
-        return self.r.shape[0]
+        return self.packed.n
 
     @property
     def dtype(self) -> np.dtype:
         """Storage dtype of the triangular factor."""
-        return self.r.dtype
+        return self.packed.dtype
 
     @property
     def perturbed(self) -> bool:
@@ -135,13 +144,13 @@ class IndefiniteFactorization:
         """Solve ``(T + δT) X = B`` via ``Rᵀ D R X = B``.
 
         ``b`` may be a vector or an ``n × k`` panel; the panel case runs
-        the ``Rᵀ``/``R`` sweeps as level-3 ``dtrsm`` calls with one
+        the ``Rᵀ``/``R`` sweeps as level-3 packed solves with one
         broadcast signature scaling in between.
         """
-        panel, single = as_panel(b, self.order, dtype=self.r.dtype)
-        y = solve_upper_triangular(self.r, panel, trans=True)
+        panel, single = as_panel(b, self.order, dtype=self.dtype)
+        y = self.packed.solve(panel, trans=True)
         y *= self.d.astype(y.dtype)[:, None]
-        return from_panel(solve_upper_triangular(self.r, y), single)
+        return from_panel(self.packed.solve(y, overwrite_b=True), single)
 
     def reconstruct(self) -> np.ndarray:
         """Dense ``Rᵀ D R`` (equals ``T + δT``)."""
@@ -149,7 +158,8 @@ class IndefiniteFactorization:
 
     def logabsdet(self) -> tuple[float, int]:
         """``(log |det|, sign of det)`` of ``T + δT``."""
-        logdet = 2.0 * float(np.sum(np.log(np.abs(np.diag(self.r)))))
+        logdet = 2.0 * float(
+            np.sum(np.log(np.abs(self.packed.diagonal()))))
         sign = int(np.prod(self.d))
         return logdet, sign
 
@@ -311,7 +321,7 @@ def schur_indefinite_factor(t: SymmetricBlockToeplitz | Generator, *,
             g = g.astype(wd)
     m, p = g.block_size, g.num_blocks
     n = m * p
-    r = np.zeros((n, n), dtype=wd)
+    r = PackedUpper.zeros(n, dtype=wd)
     d = np.zeros(n, dtype=np.int8)
     w = g.w.copy()
     top = g.gen[:m]
@@ -327,7 +337,7 @@ def schur_indefinite_factor(t: SymmetricBlockToeplitz | Generator, *,
         scale0 = 1.0
     # Block step 0: the first block row of R is the top generator row;
     # its signature is the current upper-half signature.
-    r[:m, :] = top
+    r.write_rows(0, top)
     d[:m] = w[:m]
     with obs.span("schur.eliminate", order=n, block_size=m,
                   delta=delta) as sp:
@@ -346,7 +356,7 @@ def schur_indefinite_factor(t: SymmetricBlockToeplitz | Generator, *,
             # range (subnormal sgemm runs ~30× slower).
             flush_tiny(upper)
             flush_tiny(lower)
-            r[i * m:(i + 1) * m, i * m:] = upper
+            r.write_rows(i * m, upper)
             d[i * m:(i + 1) * m] = w[:m]
         sp.set(perturbations=len(events_p), interchanges=len(events_i),
                max_transform_norm=(max(transform_norms)

@@ -37,6 +37,7 @@ from repro.core.block_reflector import (
 )
 from repro.core.generator import Generator, spd_generator
 from repro.core.hyperbolic import reflector_annihilating
+from repro.core.packed import PackedUpper
 from repro.core.precision import (
     elimination_dtype,
     flush_tiny,
@@ -51,8 +52,7 @@ from repro.errors import (
 )
 from repro.obs import health
 from repro.toeplitz.block_toeplitz import SymmetricBlockToeplitz
-from repro.utils.lintools import as_panel, from_panel, \
-    solve_upper_triangular
+from repro.utils.lintools import as_panel, from_panel
 
 __all__ = [
     "SchurOptions",
@@ -109,9 +109,14 @@ class SchurOptions:
 
 @dataclass
 class SPDFactorization:
-    """Result of :func:`schur_spd_factor`: ``T = Rᵀ R``."""
+    """Result of :func:`schur_spd_factor`: ``T = Rᵀ R``.
 
-    r: np.ndarray
+    ``R`` lives in ``packed`` (``n(n+1)/2`` words, see
+    :mod:`repro.core.packed`); :attr:`r` is a dense copy for callers
+    that want one.
+    """
+
+    packed: PackedUpper
     block_size: int
     num_blocks: int
     options: SchurOptions
@@ -121,13 +126,21 @@ class SPDFactorization:
     precision: str = "fp64"
 
     @property
+    def r(self) -> np.ndarray:
+        """Dense read-only ``R``: unpacked on first access, then kept.
+
+        Solves never read it; it exists for inspection and tests.
+        """
+        return self.packed.dense
+
+    @property
     def order(self) -> int:
-        return self.r.shape[0]
+        return self.packed.n
 
     @property
     def dtype(self) -> np.dtype:
         """Storage dtype of the triangular factor."""
-        return self.r.dtype
+        return self.packed.dtype
 
     @property
     def l(self) -> np.ndarray:
@@ -138,15 +151,15 @@ class SPDFactorization:
         """Solve ``T X = B`` via ``Rᵀ (R X) = B``.
 
         ``b`` may be a vector or an ``n × k`` panel of right-hand
-        sides; the panel case runs the two triangular sweeps as single
-        level-3 ``dtrsm`` calls across all ``k`` columns.  The sweeps run
-        in the factor's storage dtype — a float32 factorization solves in
+        sides; the panel case runs each triangular sweep as one level-3
+        packed solve across all ``k`` columns.  The sweeps run in the
+        factor's storage dtype — a float32 factorization solves in
         float32 (callers wanting fp64 accuracy route the result through
         :func:`repro.core.refinement.refine`).
         """
-        panel, single = as_panel(b, self.order, dtype=self.r.dtype)
-        y = solve_upper_triangular(self.r, panel, trans=True)
-        return from_panel(solve_upper_triangular(self.r, y), single)
+        panel, single = as_panel(b, self.order, dtype=self.dtype)
+        y = self.packed.solve(panel, trans=True)
+        return from_panel(self.packed.solve(y, overwrite_b=True), single)
 
     def reconstruct(self) -> np.ndarray:
         """Dense ``Rᵀ R`` (diagnostic)."""
@@ -154,7 +167,7 @@ class SPDFactorization:
 
     def logdet(self) -> float:
         """``log det T = 2 Σ log R_ii``."""
-        return 2.0 * float(np.sum(np.log(np.abs(np.diag(self.r)))))
+        return 2.0 * float(np.sum(np.log(np.abs(self.packed.diagonal()))))
 
 
 def _apply_reflector_pair(refl, upper: np.ndarray, lower: np.ndarray,
@@ -321,7 +334,7 @@ def schur_spd_factor(t: SymmetricBlockToeplitz | Generator, *,
             g = g.astype(wd)
     m, p = g.block_size, g.num_blocks
     n = m * p
-    r = np.zeros((n, n), dtype=wd)
+    r = PackedUpper.zeros(n, dtype=wd)
     collected: list[BlockReflector] | None = [] if keep_reflectors else None
     with ExitStack() as stack:
         sp = stack.enter_context(obs.span(
@@ -343,7 +356,7 @@ def schur_spd_factor(t: SymmetricBlockToeplitz | Generator, *,
             sp.set(counted_flops=counter.total,
                    counted_flops_by_phase=dict(counter.by_category))
         if obs.enabled():
-            diag = np.abs(np.diag(r))
+            diag = np.abs(r.diagonal())
             health.record_pivot_spread(float(diag.min()),
                                        float(diag.max()))
     return SPDFactorization(r, m, p, opts,
@@ -351,7 +364,7 @@ def schur_spd_factor(t: SymmetricBlockToeplitz | Generator, *,
                             precision=opts.precision)
 
 
-def _factor_in_place(g: Generator, r: np.ndarray, opts: SchurOptions,
+def _factor_in_place(g: Generator, r: PackedUpper, opts: SchurOptions,
                      collected: list[BlockReflector] | None) -> None:
     """Shift-free variant: apply ``U`` to offset views (Section 6.4)."""
     m, p = g.block_size, g.num_blocks
@@ -361,7 +374,7 @@ def _factor_in_place(g: Generator, r: np.ndarray, opts: SchurOptions,
     top = g.gen[:m]
     bot = g.gen[m:]
     flush_tiny(g.gen)
-    r[:m, :] = top
+    r.write_rows(0, top)
     for i in range(1, p):
         q = n - i * m
         upper = top[:, :q]
@@ -377,10 +390,10 @@ def _factor_in_place(g: Generator, r: np.ndarray, opts: SchurOptions,
         # (an sgemm over subnormals runs ~30× slower than a normal one).
         flush_tiny(upper)
         flush_tiny(lower)
-        r[i * m:(i + 1) * m, i * m:] = upper
+        r.write_rows(i * m, upper)
 
 
-def _factor_with_shift(g: Generator, r: np.ndarray, opts: SchurOptions,
+def _factor_with_shift(g: Generator, r: PackedUpper, opts: SchurOptions,
                        collected: list[BlockReflector] | None) -> None:
     """Explicit Phase-3 shift variant (the distributed-memory shape)."""
     m, p = g.block_size, g.num_blocks
@@ -391,7 +404,7 @@ def _factor_with_shift(g: Generator, r: np.ndarray, opts: SchurOptions,
     bot = np.array(g.gen[m:])
     flush_tiny(top)
     flush_tiny(bot)
-    r[:m, :] = top
+    r.write_rows(0, top)
     for i in range(1, p):
         q = n - i * m
         # Phase 3 (of the previous step): shift the upper row one block
@@ -411,4 +424,4 @@ def _factor_with_shift(g: Generator, r: np.ndarray, opts: SchurOptions,
                         collect=collected)
         flush_tiny(upper)
         flush_tiny(lower)
-        r[i * m:(i + 1) * m, i * m:] = upper
+        r.write_rows(i * m, upper)

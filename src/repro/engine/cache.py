@@ -9,8 +9,8 @@ plan key covers every knob that changes the factorization (algorithm,
 representation, ``m_s``, panel, perturbation size …), so distinct
 configurations never collide.
 
-Entries account their byte footprint (every ``ndarray`` reachable one
-level deep through the stored factorization object); eviction is
+Entries account their byte footprint (every buffer reachable through
+the stored factorization object, once each); eviction is
 least-recently-used, triggered by either an entry-count or a byte
 budget.  All operations take an internal lock, so concurrent solves from
 multiple threads are safe; hit/miss/eviction counters make the behaviour
@@ -40,13 +40,16 @@ def _estimate_nbytes(obj) -> int:
     """Byte footprint of the ndarrays reachable from a factorization.
 
     Walks attributes (``__dict__`` and ``__slots__``) and list / tuple /
-    dict containers to *any* nesting depth, summing ``ndarray.nbytes``;
-    cycles and shared references are counted once.  Non-array leaves are
-    counted at a flat 64 bytes so empty results still have nonzero size.
-    The unbounded walk matters: factorization objects nest (a
-    distributed result holds a run holding per-worker payloads holding
-    arrays), and a depth cutoff made ``max_bytes`` eviction blind to
-    everything below it.
+    dict containers to *any* nesting depth; cycles and shared references
+    are counted once.  Each array is charged through the buffer that
+    owns its memory, once per buffer, so views and reshapes of one
+    buffer cost what the buffer does.  A memory map is charged its
+    mapped size: a solve reads every page, so a warm map is fully
+    resident after first use.  Non-array leaves are counted at a flat
+    64 bytes so empty results still have nonzero size.  The unbounded
+    walk matters: factorization objects nest (a distributed result holds
+    a run holding per-worker payloads holding arrays), and a depth
+    cutoff made ``max_bytes`` eviction blind to everything below it.
     """
     seen: set[int] = set()
 
@@ -54,14 +57,15 @@ def _estimate_nbytes(obj) -> int:
         if id(v) in seen:
             return 0
         seen.add(id(v))
-        if isinstance(v, np.memmap):
-            # File-backed pages, not resident heap: a disk-warm dense
-            # ``R`` handed back by the persistent store must not count
-            # its virtual size against (and instantly blow) the byte
-            # budget.  The subclass check must precede the ndarray one.
-            return 64
         if isinstance(v, np.ndarray):
-            return int(v.nbytes)
+            owner = v
+            while isinstance(owner.base, np.ndarray):
+                owner = owner.base
+            if owner is not v:
+                if id(owner) in seen:
+                    return 0
+                seen.add(id(owner))
+            return int(owner.nbytes)
         if isinstance(v, (list, tuple)):
             return sum(walk(x) for x in v)
         if isinstance(v, dict):

@@ -15,7 +15,7 @@ Each entry is a plain ZIP (stored, never deflated) holding one
 :class:`~repro.core.compact.CompactFactorization`.  Because members are
 uncompressed, a warm load can hand the arrays back as **zero-copy
 read-only memory maps** straight into the page cache — the dominant
-cost of a dense-``R`` warm start becomes a few page faults rather than
+cost of a packed-``R`` warm start becomes a few page faults rather than
 an ``O(n²)`` read, and the Schur recursion is skipped entirely.
 
 Safety properties:
@@ -73,7 +73,7 @@ STORE_SCHEMA_VERSION = 1
 
 #: Arrays at or below this many bytes are content-hash-verified on
 #: every load (GS vectors, GKO generators — the O(mn) entries).  Larger
-#: payloads (dense ``R``) rely on structural checks so the memory map
+#: payloads (packed ``R``) rely on structural checks so the memory map
 #: stays zero-copy; :meth:`CacheStore.verify` does the full check on
 #: demand.
 HASH_VERIFY_LIMIT = 8 * 2**20

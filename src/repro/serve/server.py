@@ -62,8 +62,10 @@ class SolverService:
             max_wait_ms=max_wait_ms, max_batch_k=max_batch_k,
             max_queue_depth=max_queue_depth, workers=workers, cache=cache,
             adaptive_wait=adaptive_wait, store=store)
-        #: Explicit persistent store for warm-up at registration time
-        #: (``None`` lets each plan's ``cache`` axis decide).
+        #: The cache and persistent store warm-up at registration uses:
+        #: the same ones requests are served from (``None`` lets each
+        #: plan's ``cache`` axis decide).
+        self._cache = cache
         self._store = store
         self._plans: dict[str, SolverPlan] = {}
         self._plans_lock = threading.Lock()
@@ -86,7 +88,7 @@ class SolverService:
             self._plans[name] = pl
         if warm:
             from repro.engine.engine import factor
-            factor(pl, store=self._store)
+            factor(pl, cache=self._cache, store=self._store)
         return pl
 
     def operators(self) -> tuple[str, ...]:

@@ -54,7 +54,7 @@ class TestCompactRoundTrip:
         t = kms_toeplitz(48, 0.5)
         pl, fact = _factor(t, precision=precision)
         compact = CompactFactorization.from_factorization(fact)
-        assert compact.kind == "spd-dense-r"
+        assert compact.kind == "spd-packed-r"
         restored = compact.restore()
         b = np.ones(48)
         assert np.allclose(restored.solve(b), fact.solve(b),
@@ -66,7 +66,7 @@ class TestCompactRoundTrip:
         pl, fact = _factor(t, assume="indefinite")
         assert fact.perturbations  # the singular minor forces an event
         compact = CompactFactorization.from_factorization(fact)
-        assert compact.kind == "indefinite-dense-r"
+        assert compact.kind == "indefinite-packed-r"
         restored = compact.restore()
         b = np.ones(t.shape[0])
         assert np.allclose(restored.solve(b), fact.solve(b),
@@ -139,8 +139,40 @@ class TestCacheStore:
         pl, fact = _factor(t)
         store.put(pl.cache_key(), fact)
         loaded = store.get(pl.cache_key())
-        assert isinstance(loaded.r, np.memmap)
-        np.testing.assert_array_equal(np.asarray(loaded.r), fact.r)
+        assert isinstance(loaded.packed.data, np.memmap)
+        np.testing.assert_array_equal(np.asarray(loaded.packed.data),
+                                      fact.packed.data)
+
+    @pytest.mark.parametrize("assume,op", [
+        ("spd", kms_toeplitz(40, 0.5)),
+        ("indefinite", singular_minor_toeplitz(12))])
+    def test_schur_entries_persist_packed_r(self, store, assume, op):
+        pl, fact = _factor(op, assume=assume)
+        store.put(pl.cache_key(), fact)
+        n = op.order
+        (entry,) = store.entries()
+        assert entry.kind == f"{assume}-packed-r"
+        loaded = store.get(pl.cache_key())
+        assert isinstance(loaded.packed.data, np.memmap)
+        assert loaded.packed.data.shape == (n * (n + 1) // 2,)
+        assert entry.payload_bytes - loaded.packed.data.nbytes < 8 * n + 64
+
+    def test_pre_packed_schema_is_stale_miss(self, store, monkeypatch):
+        """Entries written before the packed layout (compact schema 1)
+        read as stale misses; the engine recomputes and overwrites them
+        once."""
+        import repro.engine.cache_store as cache_store
+
+        t = kms_toeplitz(24, 0.5)
+        pl = engine.plan(t, cache="persistent")
+        with monkeypatch.context() as m:
+            m.setattr(cache_store, "COMPACT_SCHEMA_VERSION", 1)
+            engine.factor(pl, cache=FactorizationCache(), store=store)
+        first = engine.factor(pl, cache=FactorizationCache(), store=store)
+        assert not first.cache_hit
+        assert store.stats().stale == 1
+        again = engine.factor(pl, cache=FactorizationCache(), store=store)
+        assert again.cache_hit and store.stats().stale == 1
 
     def test_stamp_mismatch_is_stale_miss(self, store):
         t = kms_toeplitz(24, 0.5)
@@ -366,9 +398,30 @@ class TestMemmapAccounting:
         engine.factor(pl, cache=FactorizationCache(), store=store)
         c = FactorizationCache()
         warm = engine.factor(pl, cache=c, store=store)
-        assert isinstance(warm.factorization.r, np.memmap)
+        assert isinstance(warm.factorization.packed.data, np.memmap)
         resident = c.stats().current_bytes
-        dense = FactorizationCache()
+        computed = FactorizationCache()
         engine.factor(engine.plan(t, cache="memory"),
-                      cache=dense)  # computes; holds the real array
-        assert resident < dense.stats().current_bytes / 4
+                      cache=computed)  # computes; holds the real array
+        # A solve reads every page of the map, so the warm entry is
+        # charged its full mapped size, like the computed one; only the
+        # small metadata around the packed buffer may differ.
+        packed = warm.factorization.packed.data.nbytes
+        assert packed <= resident < packed + 1024
+        assert packed <= computed.stats().current_bytes < packed + 1024
+
+    def test_views_charged_once_maps_at_mapped_size(self, tmp_path):
+        from repro.engine.cache import _estimate_nbytes
+
+        class Fact:
+            def __init__(self, buf):
+                self.buf = buf
+                self.square = buf.reshape(40, 25)
+                self.rows = buf.reshape(25, 40)[5:]
+
+        heap = np.zeros(1000)
+        assert _estimate_nbytes(Fact(heap)) == heap.nbytes
+        path = tmp_path / "buf.bin"
+        heap.tofile(path)
+        mapped = np.memmap(path, dtype=np.float64, mode="r", shape=(1000,))
+        assert _estimate_nbytes(Fact(mapped)) == mapped.nbytes

@@ -318,12 +318,13 @@ class TestCache:
         assert not res.cache_hit
 
     def test_byte_budget_eviction(self):
-        cache = FactorizationCache(max_bytes=10_000)
+        # One packed n=32 factor is 32·33/2·8 = 4224 B; two do not fit.
+        cache = FactorizationCache(max_bytes=6_000)
         n, b = 32, np.ones(32)
         engine.execute(engine.plan(kms_toeplitz(n, 0.5)), b, cache=cache)
         engine.execute(engine.plan(kms_toeplitz(n, 0.6)), b, cache=cache)
         s = cache.stats()
-        assert s.current_bytes <= 10_000
+        assert s.current_bytes <= 6_000
         assert s.evictions >= 1
 
     def test_oversized_value_not_cached(self):

@@ -1,0 +1,153 @@
+"""Tests for the packed (RFP) storage of the Schur factor ``R``."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+from scipy.linalg import lapack
+
+from repro.core import schur_indefinite_factor, schur_spd_factor
+from repro.core.packed import PackedUpper, packed_size
+from repro.errors import ShapeError
+from repro.toeplitz import (
+    ar_block_toeplitz,
+    indefinite_toeplitz,
+    singular_minor_toeplitz,
+)
+
+ORDERS = [1, 2, 5, 8, 37, 64]
+DTYPES = [np.float64, np.float32]
+RTOL = {np.float64: 1e-12, np.float32: 2e-4}
+
+
+def _upper(n, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    r = np.triu(rng.standard_normal((n, n))) + n * np.eye(n)
+    return r.astype(dtype)
+
+
+def _packed(r):
+    p = PackedUpper.zeros(r.shape[0], dtype=r.dtype)
+    p.write_rows(0, r)
+    return p
+
+
+class TestLayout:
+    @pytest.mark.parametrize("n", ORDERS)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_matches_lapack_rfp(self, n, dtype):
+        r = _upper(n, dtype)
+        trttf = (lapack.dtrttf if dtype == np.float64 else lapack.strttf)
+        arf, info = trttf(np.asfortranarray(r), transr="T", uplo="U")
+        assert info == 0
+        p = _packed(r)
+        assert p.data.shape == (packed_size(n),)
+        np.testing.assert_array_equal(p.data, arf)
+        np.testing.assert_array_equal(p.dense, r)
+        np.testing.assert_array_equal(p.diagonal(), np.diag(r))
+
+    @pytest.mark.parametrize("n,h", [(37, 4), (64, 8), (36, 5), (8, 3)])
+    def test_block_rows_drop_residue_below_diagonal(self, n, h):
+        """Rows arrive in blocks that may straddle the ``n // 2`` split;
+        whatever lies below the diagonal of a block is not stored."""
+        r = _upper(n, np.float64)
+        noisy = r + np.tril(np.full((n, n), 1e-16), -1)
+        p = PackedUpper.zeros(n)
+        for start in range(0, n, h):
+            p.write_rows(start, noisy[start:start + h, start:])
+        np.testing.assert_array_equal(p.data, _packed(r).data)
+        assert np.all(np.tril(p.dense, -1) == 0)
+
+    def test_rejects_wrong_buffer(self):
+        with pytest.raises(ShapeError):
+            PackedUpper(np.zeros(10), 5)
+        with pytest.raises(ShapeError):
+            PackedUpper(np.zeros(15, dtype=np.int64), 5)
+
+
+class TestSolve:
+    @pytest.mark.parametrize("n", ORDERS)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("shape", ["vector", "column", "panel"])
+    def test_matches_dense_triangular_solve(self, n, dtype, trans, shape):
+        r = _upper(n, dtype)
+        rng = np.random.default_rng(1)
+        b = {"vector": rng.standard_normal(n),
+             "column": rng.standard_normal((n, 1)),
+             "panel": rng.standard_normal((n, 5))}[shape].astype(dtype)
+        before = b.copy()
+        x = _packed(r).solve(b, trans=trans)
+        ref = sla.solve_triangular(r.astype(np.float64), before,
+                                   trans=int(trans))
+        assert x.shape == b.shape and x.dtype == dtype
+        np.testing.assert_allclose(x, ref, rtol=RTOL[dtype],
+                                   atol=RTOL[dtype])
+        np.testing.assert_array_equal(b, before)   # input untouched
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_overwrite_runs_in_place(self, n):
+        r = _upper(n, np.float64)
+        b = np.asfortranarray(np.random.default_rng(2).standard_normal(
+            (n, 3)))
+        ref = sla.solve_triangular(r, b)
+        x = _packed(r).solve(b, overwrite_b=True)
+        assert np.shares_memory(x, b)
+        np.testing.assert_allclose(b, ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 37])
+    def test_read_only_memory_map(self, n, tmp_path):
+        r = _upper(n, np.float64)
+        path = tmp_path / "r.bin"
+        _packed(r).data.tofile(path)
+        mapped = np.memmap(path, dtype=np.float64, mode="r",
+                           shape=(packed_size(n),))
+        p = PackedUpper(mapped, n)
+        b = np.random.default_rng(3).standard_normal((n, 4))
+        for trans in (False, True):
+            np.testing.assert_allclose(
+                p.solve(b, trans=trans),
+                sla.solve_triangular(r, b, trans=int(trans)), rtol=1e-12)
+            np.testing.assert_allclose(
+                p.solve(b[:, 0], trans=trans),
+                sla.solve_triangular(r, b[:, 0], trans=int(trans)),
+                rtol=1e-12)
+        np.testing.assert_array_equal(np.asarray(mapped), _packed(r).data)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            _packed(_upper(6, np.float64)).solve(np.ones(5))
+
+
+def _factor_cases(n):
+    return [(schur_spd_factor, ar_block_toeplitz(n // 8, 8, seed=0)),
+            (schur_indefinite_factor, indefinite_toeplitz(n, seed=0))]
+
+
+class TestFactorStorage:
+    @pytest.mark.parametrize("factor,t", _factor_cases(96)
+                             + [(schur_indefinite_factor,
+                                 singular_minor_toeplitz(24))])
+    def test_r_is_exactly_triangular_and_memoized(self, factor, t):
+        fact = factor(t)
+        r = fact.r
+        assert r is fact.r                      # unpacked once, then kept
+        assert not r.flags.writeable
+        assert np.all(np.tril(r, -1) == 0)
+        np.testing.assert_array_equal(np.diag(r), fact.packed.diagonal())
+        assert fact.packed.data.nbytes == packed_size(t.order) * 8
+
+    @pytest.mark.parametrize("factor,t", _factor_cases(1024))
+    def test_factor_path_allocates_no_dense_square(self, factor, t):
+        n = t.order
+        tracemalloc.start()
+        try:
+            fact = factor(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * n * n * 8, peak / (n * n * 8)
+        b = np.ones(n)
+        np.testing.assert_allclose(fact.reconstruct() @ fact.solve(b), b,
+                                   atol=1e-8)

@@ -115,6 +115,25 @@ class TestGeneralBehaviour:
         with pytest.raises(ShapeError):
             refine(fact, t, np.ones(4))
 
+    @pytest.mark.parametrize("nrhs", [None, 3])
+    def test_diverging_solve_is_not_converged(self, nrhs):
+        """Corrections that grow with the residual are divergence, not
+        the rounding floor (γ = ‖ΔT T⁻¹‖ = 1.5 here)."""
+        t = ar_block_toeplitz(8, 2, seed=1)
+        exact = schur_spd_factor(t)
+
+        class Overshoot:
+            dtype = exact.dtype
+
+            def solve(self, b):
+                return 2.5 * exact.solve(b)
+
+        rng = np.random.default_rng(0)
+        b = rng.standard_normal(16 if nrhs is None else (16, nrhs))
+        res = refine(Overshoot(), t, b)
+        assert not res.converged
+        assert res.residual_norms[-1] > res.residual_norms[0]
+
     def test_residual_tracking_lengths(self):
         t = paper_example_matrix()
         fact = schur_indefinite_factor(t)

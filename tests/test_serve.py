@@ -267,6 +267,21 @@ class TestSolverService:
             assert resp.record.cache_hit  # warm=True prepaid the factor
             assert svc.stats().completed == 1
 
+    def test_warm_register_fills_the_service_cache(self, op, rhs):
+        from repro.engine import FactorizationCache, set_default_cache
+
+        prev = set_default_cache(FactorizationCache())
+        try:
+            private = FactorizationCache()
+            with SolverService(max_wait_ms=0.0, cache=private) as svc:
+                svc.register("toe", op, warm=True)
+                resp = svc.solve("toe", rhs)
+            assert resp.record.cache_hit
+            assert private.stats().hits == 1
+            assert len(engine.default_cache()) == 0
+        finally:
+            set_default_cache(prev)
+
     def test_unknown_operator(self, op, rhs):
         with SolverService() as svc:
             svc.register("toe", op)
