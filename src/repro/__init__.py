@@ -64,7 +64,6 @@ from repro.toeplitz import (
     singular_minor_toeplitz,
     spectral_block_toeplitz,
 )
-from repro.tuning import tune, choose_distribution
 from repro import engine
 from repro.engine import (
     FactorizationCache,
@@ -75,6 +74,12 @@ from repro.engine import (
     plan,
 )
 from repro import errors
+from repro._lazy import lazy_exports
+
+# The planner's machine study (and the simulator behind it) loads on use.
+__getattr__, __dir__ = lazy_exports(
+    __name__, {"repro.tuning": ("tune", "choose_distribution")},
+    submodules=("tuning", "machine", "parallel"))
 
 __all__ = [
     "__version__",

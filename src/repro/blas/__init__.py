@@ -29,17 +29,16 @@ from repro.blas.primitives import (
     trsm_lower,
     syrk,
 )
-from repro.blas.perf_model import (
-    HockneyRate,
-    BlasPerformanceModel,
-    PrimitiveCall,
-)
-from repro.blas.cray import (
-    cray_ymp_model,
-    t3d_node_model,
-    T3DNetworkParameters,
-)
-from repro.blas.empirical import EmpiricalBlasModel, measure_host_model
+from repro._lazy import lazy_exports
+
+# The performance models load on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.blas.perf_model": ("HockneyRate", "BlasPerformanceModel",
+                              "PrimitiveCall"),
+    "repro.blas.cray": ("cray_ymp_model", "t3d_node_model",
+                        "T3DNetworkParameters"),
+    "repro.blas.empirical": ("EmpiricalBlasModel", "measure_host_model"),
+})
 
 __all__ = [
     "FlopCounter",

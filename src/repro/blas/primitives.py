@@ -128,28 +128,33 @@ def category(name: str):
     blocking / application / panel split surfaces in ``--profile``
     output without per-call child spans.  With no counter active and
     observability off nothing would see the category, so a shared no-op
-    context is returned (the Schur loop enters one per reflector).
+    context is returned.  The returned scope may be entered again after
+    it exits (the Schur column loop makes one per phase and reuses it),
+    but not while it is open.
     """
     if not _STACK and not _obs.enabled():
         return _NO_CATEGORY
-    return _category(name)
+    return _Category(name)
 
 
-@contextmanager
-def _category(name: str):
-    _CATEGORY.append(name)
-    if _obs.enabled() and _obs.current_span() is not None:
-        t0 = perf_counter()
-        try:
-            yield
-        finally:
-            _CATEGORY.pop()
-            _obs.record_phase(name, perf_counter() - t0)
-    else:
-        try:
-            yield
-        finally:
-            _CATEGORY.pop()
+class _Category:
+    """The scope :func:`category` returns while something records it."""
+
+    __slots__ = ("name", "_t0")
+
+    def __init__(self, name: str):
+        self.name = name
+        self._t0: float | None = None
+
+    def __enter__(self):
+        _CATEGORY.append(self.name)
+        self._t0 = (perf_counter() if _obs.enabled()
+                    and _obs.current_span() is not None else None)
+
+    def __exit__(self, *exc) -> None:
+        _CATEGORY.pop()
+        if self._t0 is not None:
+            _obs.record_phase(self.name, perf_counter() - self._t0)
 
 
 def charge(flops: int, primitive: str = "misc",
@@ -204,8 +209,10 @@ def gemv(a: np.ndarray, x: np.ndarray, *, trans: bool = False) -> np.ndarray:
     return a.T @ x if trans else a @ x
 
 
-_GER_BLAS = {np.dtype(np.float64): sla.blas.dger,
-             np.dtype(np.float32): sla.blas.sger}
+#: dtype → SciPy ``?ger``; with ``overwrite_a=1`` it updates a
+#: Fortran-contiguous operand in place (any other layout, a copy).
+GER_KERNELS = {np.dtype(np.float64): sla.blas.dger,
+               np.dtype(np.float32): sla.blas.sger}
 
 
 def ger(alpha: float, x: np.ndarray, y: np.ndarray,
@@ -219,7 +226,7 @@ def ger(alpha: float, x: np.ndarray, y: np.ndarray,
     """
     if _STACK:
         charge(2 * a.shape[0] * a.shape[1], "ger", a.dtype.name)
-    f = _GER_BLAS.get(a.dtype)
+    f = GER_KERNELS.get(a.dtype)
     if f is not None:
         if a.flags.c_contiguous:
             f(alpha, y, x, a=a.T, overwrite_a=1)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.blas import primitives as blas
-from repro.core.hyperbolic import HyperbolicHouseholder
+from repro.core.hyperbolic import HyperbolicHouseholder, reflect_rows
 from repro.core.signature import signature_vector
 from repro.errors import ShapeError
 
@@ -69,7 +69,7 @@ class BlockReflector:
                  y: np.ndarray | None = None,
                  t: np.ndarray | None = None,
                  u_dense: np.ndarray | None = None,
-                 reflectors: list[HyperbolicHouseholder] | None = None):
+                 reflectors: list[tuple] | None = None):
         self.kind = kind
         self.w = w
         self.k = k
@@ -92,8 +92,9 @@ class BlockReflector:
             return np.array(self.u_dense)
         if self.kind == "unblocked":
             u = np.eye(n)
-            for refl in self.reflectors:
-                u = refl.matrix() @ u
+            for x, beta, _support in self.reflectors:
+                u = (np.diag(w.astype(np.float64))
+                     + beta * np.outer(x, x)) @ u
             return u
         if self.kind in ("vy1", "vy2"):
             return wk + self.v @ self.y.T
@@ -133,8 +134,8 @@ class BlockReflector:
             res = blas.gemm(self.u_dense, a)
         elif kind == "unblocked":
             res = np.array(a)
-            for refl in self.reflectors:
-                refl.apply_left(res, out=res)
+            for x, beta, support in self.reflectors:
+                reflect_rows(x, beta, w, res, support=support)
         elif kind in ("vy1", "vy2"):
             ya = blas.gemm(self.y.T, a)
             res = np.array(_apply_wpow(w, k, a))
@@ -216,6 +217,10 @@ class _AccumulatorBase:
     def __init__(self, w, dtype=np.float64):
         self.w = signature_vector(w)
         self.dtype = np.dtype(dtype)
+        #: ``W`` in the working dtype (and as a column), for the
+        #: per-append sign passes.
+        self._wf = self.w.astype(self.dtype)
+        self._wcol = self._wf[:, None]
         self.k = 0
 
     @property
@@ -230,7 +235,25 @@ class _AccumulatorBase:
             raise ShapeError("reflector signature differs from accumulator")
 
     def append(self, refl: HyperbolicHouseholder) -> None:
+        """Fold one more reflector into the representation."""
+        self._check(refl)
+        self.push(refl.x, refl.beta, refl.support)
+
+    def push(self, x: np.ndarray, beta: float,
+             support: np.ndarray | None = None) -> None:
+        """Fold in the reflector ``W + β x xᵀ`` given by its parts.
+
+        The unchecked form of :meth:`append` that the Schur column step
+        calls: ``x`` must be a length-``n`` vector whose nonzeros lie in
+        ``support`` (all of it when ``None``).  Neither ``x`` nor
+        ``support`` is kept, so the caller may reuse their buffers.
+        """
         raise NotImplementedError
+
+    def reset(self) -> None:
+        """Empty the accumulator for the next panel, keeping its buffers
+        (:meth:`finish` hands out copies)."""
+        self.k = 0
 
     def finish(self) -> BlockReflector:
         raise NotImplementedError
@@ -269,12 +292,10 @@ class VYFirstAccumulator(_AccumulatorBase):
     def _y(self):
         return self._buf_y[:, :self.k]
 
-    def append(self, refl: HyperbolicHouseholder) -> None:
-        """Fold one more reflector into the representation."""
-        self._check(refl)
-        x, beta, w = refl.x, refl.beta, self.w
+    def push(self, x, beta, support=None) -> None:
         self._grow()
-        if self.k == 0:
+        k = self.k
+        if k == 0:
             self._buf_v[:, 0] = x
             self._buf_y[:, 0] = beta * x
             self.k = 1
@@ -283,16 +304,14 @@ class VYFirstAccumulator(_AccumulatorBase):
         # z = β xᵀ U^{(k)} = β (xᵀ Wᵏ + (xᵀ V) Yᵀ)
         xv = blas.gemv(v, x, trans=True)
         z = blas.gemv(y, xv)  # Y (Vᵀx): (xᵀV)Yᵀ as a column
-        z += _apply_wpow(w, self.k, x)
+        z += self._wf * x if k % 2 else x
         blas.charge(z.shape[0], "scal")
         z *= beta
-        wf = w.astype(v.dtype)
-        v *= wf[:, None]                  # W V_k sign pass, in place
-        blas.charge(self.n * self.k, "scal")
-        k = self.k
+        v *= self._wcol                   # W V_k sign pass, in place
+        blas.charge(self.n * k, "scal")
         self._buf_v[:, k] = x
         self._buf_y[:, k] = z
-        self.k += 1
+        self.k = k + 1
 
     def finish(self) -> BlockReflector:
         """Freeze the accumulated product as a BlockReflector."""
@@ -333,30 +352,26 @@ class VYSecondAccumulator(_AccumulatorBase):
     def _y(self):
         return self._buf_y[:, :self.k]
 
-    def append(self, refl: HyperbolicHouseholder) -> None:
-        """Fold one more reflector into the representation."""
-        self._check(refl)
-        x, beta, w = refl.x, refl.beta, self.w
+    def push(self, x, beta, support=None) -> None:
         self._grow()
-        if self.k == 0:
-            self._buf_v[:, 0] = x
-            self._buf_y[:, 0] = beta * x
-            self.k = 1
-            return
-        z = _apply_wpow(w, self.k, x).copy()
-        blas.charge(z.shape[0], "scal")
-        z *= beta
-        # U_{k+1} V = W V + β x (xᵀ V): sign pass + gemv + rank-1 update.
-        v = self._v
-        xv = blas.gemv(v, x, trans=True)
-        wf = w.astype(v.dtype)
-        v *= wf[:, None]
-        blas.charge(self.n * self.k, "scal")
-        blas.ger(beta, x, xv, v)
         k = self.k
+        z = self._buf_y[:, k]
+        if k % 2:
+            np.multiply(self._wf, x, out=z)
+        else:
+            z[:] = x
+        if k:
+            blas.charge(self.n, "scal")
+        z *= beta
+        if k:
+            # U_{k+1} V = W V + β x (xᵀ V): sign pass + gemv + rank-1.
+            v = self._v
+            xv = blas.gemv(v, x, trans=True)
+            v *= self._wcol
+            blas.charge(self.n * k, "scal")
+            blas.ger(beta, x, xv, v)
         self._buf_v[:, k] = x
-        self._buf_y[:, k] = z
-        self.k += 1
+        self.k = k + 1
 
     def finish(self) -> BlockReflector:
         """Freeze the accumulated product as a BlockReflector."""
@@ -396,29 +411,21 @@ class YTYAccumulator(_AccumulatorBase):
     def _t(self):
         return self._buf_t[:self.k, :self.k]
 
-    def append(self, refl: HyperbolicHouseholder) -> None:
-        """Fold one more reflector into the representation."""
-        self._check(refl)
-        x, beta, w = refl.x, refl.beta, self.w
+    def push(self, x, beta, support=None) -> None:
         self._grow()
-        if self.k == 0:
-            self._buf_y[:, 0] = x
-            self._buf_t[0, 0] = beta
-            self.k = 1
-            return
         k = self.k
-        y, t = self._y, self._t
-        xy = blas.gemv(y, x, trans=True)          # xᵀY (length k)
-        a = blas.gemv(t, xy, trans=True)          # (xᵀY)T row
-        blas.charge(k, "scal")
-        a *= beta
-        wf = w.astype(y.dtype)
-        y *= wf[:, None]
-        blas.charge(self.n * k, "scal")
+        if k:
+            y, t = self._y, self._t
+            xy = blas.gemv(y, x, trans=True)      # xᵀY (length k)
+            a = blas.gemv(t, xy, trans=True)      # (xᵀY)T row
+            blas.charge(k, "scal")
+            a *= beta
+            y *= self._wcol
+            blas.charge(self.n * k, "scal")
+            self._buf_t[k, :k] = a
         self._buf_y[:, k] = x
-        self._buf_t[k, :k] = a
         self._buf_t[k, k] = beta
-        self.k += 1
+        self.k = k + 1
 
     def finish(self) -> BlockReflector:
         """Freeze the accumulated product as a BlockReflector."""
@@ -433,13 +440,17 @@ class UnblockedAccumulator(_AccumulatorBase):
 
     def __init__(self, w, dtype=np.float64):
         super().__init__(w, dtype)
-        self._reflectors: list[HyperbolicHouseholder] = []
+        self._reflectors: list[tuple] = []
 
-    def append(self, refl: HyperbolicHouseholder) -> None:
-        """Fold one more reflector into the representation."""
-        self._check(refl)
-        self._reflectors.append(refl)
+    def push(self, x, beta, support=None) -> None:
+        self._reflectors.append(
+            (np.array(x), beta,
+             None if support is None else np.array(support)))
         self.k += 1
+
+    def reset(self) -> None:
+        super().reset()
+        self._reflectors.clear()
 
     def finish(self) -> BlockReflector:
         """Freeze the accumulated product as a BlockReflector."""
@@ -460,12 +471,15 @@ class DenseAccumulator(_AccumulatorBase):
         super().__init__(w, dtype)
         self._u = np.eye(self.n, dtype=self.dtype)
 
-    def append(self, refl: HyperbolicHouseholder) -> None:
-        """Fold one more reflector into the representation."""
-        self._check(refl)
-        refl.apply_left(self._u, out=self._u)
+    def push(self, x, beta, support=None) -> None:
+        reflect_rows(x, beta, self.w, self._u, support=support)
         blas.charge(2 * self.n * self.n, "gemm")  # dense accumulate cost
         self.k += 1
+
+    def reset(self) -> None:
+        super().reset()
+        self._u.fill(0.0)
+        np.fill_diagonal(self._u, 1.0)
 
     def finish(self) -> BlockReflector:
         """Freeze the accumulated product as a BlockReflector."""

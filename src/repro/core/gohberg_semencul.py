@@ -17,10 +17,10 @@ smoothers, covariance whitening pipelines, interpolation weights).
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft as sfft
 
 from repro.errors import BreakdownError, ShapeError
 from repro.toeplitz.block_toeplitz import SymmetricBlockToeplitz
+from repro.toeplitz.matvec import next_fast_len
 from repro.utils.lintools import as_panel, from_panel
 
 __all__ = ["ToeplitzInverse", "toeplitz_inverse"]
@@ -31,17 +31,18 @@ class _LowerToeplitzOp:
 
     def __init__(self, v: np.ndarray):
         self._n = v.shape[0]
-        self._nfft = sfft.next_fast_len(2 * self._n - 1)
-        self._vf = sfft.rfft(v, n=self._nfft)
+        self._nfft = next_fast_len(2 * self._n - 1)
+        self._vf = np.fft.rfft(v, n=self._nfft)
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         """``L(v) B`` for a vector or an ``n × k`` panel (one batched
-        FFT over the columns either way)."""
-        bf = sfft.rfft(b, n=self._nfft, axis=0)
-        out = sfft.irfft((self._vf if b.ndim == 1 else
-                          self._vf[:, None]) * bf,
-                         n=self._nfft, axis=0)
-        return out[:self._n]
+        FFT over the columns either way), in ``b``'s dtype."""
+        bf = np.fft.rfft(b, n=self._nfft, axis=0)
+        out = np.fft.irfft((self._vf if b.ndim == 1 else
+                            self._vf[:, None]) * bf,
+                           n=self._nfft, axis=0)
+        # NumPy < 2 transforms float32 in double precision.
+        return out[:self._n].astype(b.dtype, copy=False)
 
     def apply_t(self, b: np.ndarray) -> np.ndarray:
         """``L(v)ᵀ B``: correlate instead of convolve."""

@@ -26,7 +26,8 @@ from repro.core.signature import hyperbolic_norm_squared, signature_vector
 from repro.errors import BreakdownError, ShapeError
 from repro.obs import health
 
-__all__ = ["HyperbolicHouseholder", "reflector_annihilating"]
+__all__ = ["HyperbolicHouseholder", "pivot_scalars", "reflect_rows",
+           "reflector_annihilating"]
 
 
 class HyperbolicHouseholder:
@@ -101,31 +102,21 @@ class HyperbolicHouseholder:
             out = np.array(a)
         elif out is not a:
             np.copyto(out, a)
+        if a.ndim == 2:
+            return reflect_rows(self.x, self.beta, self.w, out,
+                                support=self.support)
         wf = self.w.astype(a.dtype)
         if self.support is None:
-            if a.ndim == 1:
-                coef = self.beta * blas.dot(self.x, a)
-                out *= 1.0  # keep dtype/contiguity
-                out[:] = wf * a
-                blas.axpy(coef, self.x, out)
-            else:
-                xa = blas.gemv(a, self.x, trans=True)
-                out[:] = wf[:, None] * a
-                blas.ger(self.beta, self.x, xa, out)
+            coef = self.beta * blas.dot(self.x, a)
+            out[:] = wf * a
+            blas.axpy(coef, self.x, out)
             return out
         # Sparse path: only rows in `support` carry reflector mass.
         idx = self.support
         xs = self.x[idx]
-        if a.ndim == 1:
-            coef = self.beta * blas.dot(xs, a[idx])
-            out[:] = wf * a
-            out[idx] += coef * xs
-        else:
-            xa = blas.gemv(a[idx], xs, trans=True)
-            out[:] = wf[:, None] * a
-            sub = out[idx]
-            blas.ger(self.beta, xs, xa, sub)
-            out[idx] = sub
+        coef = self.beta * blas.dot(xs, a[idx])
+        out[:] = wf * a
+        out[idx] += coef * xs
         return out
 
     def is_w_unitary(self, rtol: float = 1e-10) -> bool:
@@ -134,6 +125,30 @@ class HyperbolicHouseholder:
         wmat = np.diag(self.w.astype(np.float64))
         return np.allclose(u.T @ wmat @ u, wmat,
                            rtol=rtol, atol=rtol * max(1.0, self.xwx))
+
+
+def reflect_rows(x: np.ndarray, beta: float, w: np.ndarray,
+                 a: np.ndarray, support: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """Apply ``U = W + β x xᵀ`` to the 2-D operand ``a`` in place.
+
+    With ``support`` (the indices where ``x`` is nonzero) only those
+    rows take part in the gemv and rank-1 update; every row still gets
+    its sign from ``W``.  Returns ``a``.
+    """
+    wf = w.astype(a.dtype)
+    if support is None:
+        xa = blas.gemv(a, x, trans=True)
+        a *= wf[:, None]
+        blas.ger(beta, x, xa, a)
+        return a
+    xs = x[support]
+    xa = blas.gemv(a[support], xs, trans=True)
+    a *= wf[:, None]
+    sub = a[support]
+    blas.ger(beta, xs, xa, sub)
+    a[support] = sub
+    return a
 
 
 def reflector_annihilating(u: np.ndarray, w: np.ndarray, j: int, *,
@@ -169,6 +184,24 @@ def reflector_annihilating(u: np.ndarray, w: np.ndarray, j: int, *,
     else:
         h = hyperbolic_norm_squared(u, w)
         unorm2 = float(np.dot(u, u))
+    sigma, xwx = pivot_scalars(h, unorm2, float(w[j]), float(u[j]),
+                               breakdown_tol)
+    x = w.astype(u.dtype) * u
+    x[j] += x.dtype.type(sigma)
+    blas.charge(3 * n + 8, "reflector-setup")  # paper's per-step x cost
+    return HyperbolicHouseholder(x, w, support=support, xwx=xwx), sigma
+
+
+def pivot_scalars(h: float, unorm2: float, wjj: float, uj: float,
+                  breakdown_tol: float) -> tuple[float, float]:
+    """``(σ, xᵀWx)`` of the reflector taking ``u`` to the ``j`` axis.
+
+    ``h = uᵀWu`` and ``unorm2 = ‖u‖²``, ``wjj = W_jj`` and ``uj = u_j``.
+    Raises :class:`~repro.errors.BreakdownError` for a zero ``u``, a
+    hyperbolic norm at or below ``breakdown_tol · ‖u‖²``, or a target
+    axis of the wrong sign; records the rotation margin when
+    observability is on.
+    """
     if unorm2 == 0.0:
         raise BreakdownError("cannot annihilate the zero vector")
     if abs(h) <= breakdown_tol * unorm2:
@@ -177,20 +210,14 @@ def reflector_annihilating(u: np.ndarray, w: np.ndarray, j: int, *,
             f"(uᵀWu = {h:.3e}, ‖u‖² = {unorm2:.3e})")
     if obs.enabled():
         health.record_rotation_margin(abs(h) / unorm2, breakdown_tol)
-    wjj = float(w[j])
     if wjj * h <= 0.0:
         raise BreakdownError(
             f"target axis sign W_jj={wjj:+.0f} incompatible with "
             f"uᵀWu={h:.3e}; interchange rows first")
     sigma = math.sqrt(wjj * h)
     # Stable sign: make σ·u_j agree in sign with uᵀWu so that
-    # xᵀWx = 2(uᵀWu + σ u_j) has no cancellation.
-    if u[j] != 0.0:
-        sigma = math.copysign(sigma, h * u[j])
-    x = w.astype(u.dtype) * u
-    x[j] += x.dtype.type(sigma)
-    blas.charge(3 * n + 8, "reflector-setup")  # paper's per-step x cost
-    # xᵀWx = 2(uᵀWu + σ u_j): the stable sign choice above makes this
-    # addition cancellation-free, so the identity is safe to reuse.
-    return HyperbolicHouseholder(x, w, support=support,
-                                 xwx=2.0 * (h + sigma * float(u[j]))), sigma
+    # xᵀWx = 2(uᵀWu + σ u_j) has no cancellation, which makes the
+    # identity safe to use for the reflector's norm.
+    if uj != 0.0:
+        sigma = math.copysign(sigma, h * uj)
+    return sigma, 2.0 * (h + sigma * uj)

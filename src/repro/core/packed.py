@@ -25,6 +25,8 @@ wrappers cannot express, so vectors go through ``?tfsm`` too.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.linalg import blas as _blas
 from scipy.linalg import lapack as _lapack
@@ -182,7 +184,15 @@ def _store_upper(u: np.ndarray, start: int, rows: np.ndarray) -> None:
     h = rows.shape[0]
     u[start:start + h, start + h:] = rows[:, h:]
     np.copyto(u[start:start + h, start:start + h], rows[:, :h],
-              where=np.triu(np.ones((h, h), dtype=bool)))
+              where=_triu_mask(h))
+
+
+@functools.lru_cache(maxsize=16)
+def _triu_mask(h: int) -> np.ndarray:
+    """The ``h × h`` upper-triangle mask (one per block size, kept)."""
+    mask = np.triu(np.ones((h, h), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
 def _work(b: np.ndarray, dtype: np.dtype, overwrite: bool) -> np.ndarray:

@@ -32,7 +32,6 @@ import numpy as np
 import repro.obs as obs
 from repro.blas import primitives as blas
 from repro.core.generator import Generator, indefinite_generator
-from repro.core.hyperbolic import reflector_annihilating
 from repro.core.packed import PackedUpper
 from repro.core.precision import (
     elimination_dtype,
@@ -40,7 +39,7 @@ from repro.core.precision import (
     validate_precision,
     working_dtype,
 )
-from repro.core.schur_spd import _apply_reflector_pair
+from repro.core.schur_spd import ColumnStep
 from repro.errors import BreakdownError, SingularMinorError
 from repro.obs import health
 from repro.toeplitz.block_toeplitz import SymmetricBlockToeplitz
@@ -187,15 +186,15 @@ def _eliminate_block_indefinite(upper: np.ndarray, lower: np.ndarray,
     m, q = upper.shape
     n2 = 2 * m
     wf = w.astype(np.float64)
-    round_pivot = (elim_dtype is not None
-                   and np.dtype(elim_dtype) != upper.dtype)
     max_norm = 1.0
-    support = np.concatenate([np.zeros(1, dtype=np.intp),
-                              np.arange(m, n2, dtype=np.intp)])
+    # Fortran-ordered working copies: the column step updates in place.
+    fu = np.asfortranarray(upper)
+    fl = np.asfortranarray(lower)
+    column = ColumnStep(w, upper.dtype, elim_dtype=elim_dtype)
     for k in range(m):
         u = np.zeros(n2, dtype=upper.dtype)
-        u[k] = upper[k, k]
-        u[m:] = lower[:, k]
+        u[k] = fu[k, k]
+        u[m:] = fl[:, k]
         h = float(np.dot(wf * u, u))
         unorm2 = float(np.dot(u, u))
         if unorm2 == 0.0:
@@ -219,7 +218,7 @@ def _eliminate_block_indefinite(upper: np.ndarray, lower: np.ndarray,
                 h_new = float(np.dot(wf * cand, cand))
                 if w[k] * h_new > 0.0:
                     u = cand
-                    upper[k, k] = u[k]
+                    fu[k, k] = u[k]
                     h = h_new
                     ok = True
                     break
@@ -238,29 +237,25 @@ def _eliminate_block_indefinite(upper: np.ndarray, lower: np.ndarray,
             # Always nonempty: W_kk·h<0 ⇒ Σ_k = −sign(h) ⇒ sign(h) ∈ −Σ.
             l = max(cand, key=lambda idx: abs(u[idx]))
             lr = l - m
-            tmp = upper[k].copy()
-            upper[k] = lower[lr]
-            lower[lr] = tmp
+            tmp = fu[k].copy()
+            fu[k] = fl[lr]
+            fl[lr] = tmp
             w[k], w[l] = w[l], w[k]
             wf = w.astype(np.float64)
-            u[k], u[l] = u[l], u[k]
+            column = ColumnStep(w, upper.dtype, elim_dtype=elim_dtype)
             events_i.append(InterchangeEvent(step=step, column=k,
                                              lower_row=l))
-        support[0] = k
-        if round_pivot:
-            u = u.astype(elim_dtype).astype(upper.dtype)
-        refl, _sigma = reflector_annihilating(u, w, k,
-                                              support=support.copy())
-        # ‖U_x‖₂ ≤ 1 + 2‖x‖²/|xᵀWx| — equality-order proxy for the
-        # growth factor the §8.2 error analysis tracks.
-        xs = refl.x[support]
-        max_norm = max(max_norm,
-                       1.0 + 2.0 * float(xs @ xs) / abs(refl.xwx))
-        # Full-width sequential application: every column receives every
-        # reflector (rank-1 parts vanish exactly on eliminated columns).
-        _apply_reflector_pair(refl, upper, lower, k)
-        lower[:, k] = 0.0
+        x, beta = column(fu[:, k:], fl[:, k:], k)
+        # The eliminated columns left of k see only U's sign flip (its
+        # rank-1 part vanishes on them).
+        if k and not column.wu_identity:
+            fu[:, :k] *= column.wf[:m, None]
+        # ‖U_x‖₂ ≤ 1 + 2‖x‖²/|xᵀWx| = 1 + |β|‖x‖² — equality-order proxy
+        # for the growth factor the §8.2 error analysis tracks.
+        max_norm = max(max_norm, 1.0 + abs(beta) * float(x @ x))
         blas.charge(0, "indefinite-step")
+    upper[:] = fu
+    lower[:] = fl
     neg = np.diag(upper[:, :m]) < 0
     if np.any(neg):
         upper[neg] *= -1.0

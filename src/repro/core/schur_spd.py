@@ -36,7 +36,7 @@ from repro.core.block_reflector import (
     make_accumulator,
 )
 from repro.core.generator import Generator, spd_generator
-from repro.core.hyperbolic import reflector_annihilating
+from repro.core.hyperbolic import pivot_scalars
 from repro.core.packed import PackedUpper
 from repro.core.precision import (
     elimination_dtype,
@@ -59,6 +59,7 @@ __all__ = [
     "SPDFactorization",
     "schur_spd_factor",
     "eliminate_block",
+    "ColumnStep",
 ]
 
 
@@ -170,43 +171,139 @@ class SPDFactorization:
         return 2.0 * float(np.sum(np.log(np.abs(self.packed.diagonal()))))
 
 
-def _apply_reflector_pair(refl, upper: np.ndarray, lower: np.ndarray,
-                          pivot_row: int, *,
-                          wu_identity: bool | None = None,
-                          wl_negidentity: bool | None = None) -> None:
-    """Apply one sparse reflector to the (upper, lower) column views.
+class ColumnStep:
+    """One column of the Schur elimination, with its invariants hoisted.
 
-    The reflector vector is supported on row ``pivot_row`` of the upper
-    half plus the whole lower half (Figure 1's pattern).  Signature signs
-    are applied to *all* rows (required in the indefinite case where the
-    upper signature is not the identity).  Callers in a loop pass the
-    precomputed uniformity flags of the two signature halves.
+    Calling the step on ``m × c`` views ``upper``/``lower`` of the
+    generator window eliminates their first column against the pivot
+    ``upper[row, 0]``: it builds the hyperbolic reflector
+    ``U = W + β x xᵀ`` that maps ``[upper[row, 0]; lower[:, 0]]`` onto
+    the ``row`` axis (Section 3; its support is that row plus the lower
+    half, Figure 1's pattern), applies ``U`` to all ``c`` columns, sets
+    ``lower[:, 0]`` to exact zeros and returns ``(x, β)``.  ``x`` is the
+    step's own length-``2m`` buffer, overwritten by the next call;
+    :attr:`support` holds its nonzero rows.
+
+    Both views must be Fortran-contiguous: the rank-1 update runs as an
+    in-place BLAS ``?ger``, which on any other layout would update a
+    copy.  The update keeps the evaluation order
+    ``t = x_row·upper[row] + lowerᵀ x_low``, then the pivot-row axpy,
+    then ``?ger`` on the lower rows (``docs/algorithm.md`` §4 says why).
+
+    A step fixes the signature ``w`` (build a new one after changing
+    it), the working dtype, ``breakdown_tol``, the ``"mixed"`` pivot
+    rounding ``elim_dtype``, and — from the state at construction —
+    whether flops and phase times are recorded.
     """
-    m = upper.shape[0]
-    x = refl.x
-    w = refl.w
-    beta = refl.beta
-    xk = x[pivot_row]
-    xlow = x[m:]
-    # t = xᵀ [upper; lower] restricted to the support.
-    t = xk * upper[pivot_row] + blas.gemv(lower, xlow, trans=True)
-    blas.charge(2 * upper.shape[1], "axpy")
-    if wu_identity is None:
-        wu_identity = bool(np.all(w[:m] == 1))
-    if not wu_identity:
-        upper *= w[:m].astype(upper.dtype)[:, None]
-        blas.charge(upper.size, "scal")
-    if wl_negidentity is None:
-        wl_negidentity = bool(np.all(w[m:] == -1))
-    if wl_negidentity:
-        np.negative(lower, out=lower)
-    else:
-        lower *= w[m:].astype(lower.dtype)[:, None]
-    blas.charge(lower.size, "scal")
-    row = upper[pivot_row]
-    blas.charge(2 * row.shape[0], "axpy")
-    row += (beta * xk) * t
-    blas.ger(beta, xlow, t, lower)
+
+    def __init__(self, w: np.ndarray, dtype, *, breakdown_tol: float = 0.0,
+                 elim_dtype: np.dtype | None = None):
+        m = w.shape[0] // 2
+        dtype = np.dtype(dtype)
+        signs = [int(v) for v in w]
+        self.m = m
+        self.w = w
+        self.dtype = dtype
+        self.breakdown_tol = breakdown_tol
+        self.round_to = (np.dtype(elim_dtype) if elim_dtype is not None
+                         and np.dtype(elim_dtype) != dtype else None)
+        self.wu_identity = all(v == 1 for v in signs[:m])
+        self.wl_negidentity = all(v == -1 for v in signs[m:])
+        #: ``W`` in the working dtype.
+        self.wf = w.astype(dtype)
+        self._signs = signs
+        self._wfu = self.wf[:m, None]
+        self._wfl = self.wf[m:, None]
+        #: Signature on the support in float64; entry 0 is ``w[row]``.
+        self._ws = np.array([1.0] + signs[m:])
+        self.support = np.array([0] + list(range(m, 2 * m)), dtype=np.intp)
+        self.x = np.zeros(2 * m, dtype=dtype)
+        self._xlow = self.x[m:]
+        self._row = 0
+        self._u = np.empty(m + 1, dtype=dtype)
+        self._narrow = dtype != np.float64
+        self._ger = blas.GER_KERNELS[dtype]
+        self.counting = blas.active_counter() is not None
+        #: Reusable category scope; callers charge their appends to it.
+        self.blocking = blas.category("blocking")
+        self._panel = blas.category("panel")
+        self._accumulators: dict = {}
+
+    def accumulator(self, representation: str):
+        """An empty accumulator for ``representation`` with this step's
+        signature and dtype; its buffers are reused from call to call."""
+        acc = self._accumulators.get(representation)
+        if acc is None:
+            acc = make_accumulator(representation, self.w, dtype=self.dtype)
+            self._accumulators[representation] = acc
+        else:
+            acc.reset()
+        return acc
+
+    def __call__(self, upper: np.ndarray, lower: np.ndarray,
+                 row: int) -> tuple[np.ndarray, float]:
+        u = self._u
+        u[0] = upper[row, 0]
+        u[1:] = lower[:, 0]
+        if self.round_to is not None:
+            u[:] = u.astype(self.round_to)
+        with self.blocking:
+            xk, beta = self._reflector(row)
+        with self._panel:
+            xlow = self._xlow
+            urow = upper[row]
+            t = lower.T @ xlow
+            t += xk * urow
+            if not self.wu_identity:
+                upper *= self._wfu
+            if self.wl_negidentity:
+                np.negative(lower, out=lower)
+            else:
+                lower *= self._wfl
+            urow += (beta * xk) * t
+            self._ger(beta, xlow, t, a=lower, overwrite_a=1)
+            if self.counting:
+                self._charge_update(*lower.shape)
+        lower[:, 0] = 0.0  # exact annihilation of the pivot column
+        return self.x, beta
+
+    def _reflector(self, row: int) -> tuple:
+        """Build ``x`` on the support from ``u``; return ``(x[row], β)``.
+
+        :func:`~repro.core.hyperbolic.reflector_annihilating` restricted
+        to the support: the hyperbolic norm in float64, then the shared
+        checks, σ and ``xᵀWx`` of :func:`~repro.core.hyperbolic.
+        pivot_scalars`.
+        """
+        u, ws, x = self._u, self._ws, self.x
+        wjj = self._signs[row]
+        ws[0] = wjj
+        u64 = u.astype(np.float64) if self._narrow else u
+        xs = ws * u64
+        xs0 = xs[0]
+        sigma, xwx = pivot_scalars(float(np.dot(xs, u64)),
+                                   float(np.dot(u, u)), wjj,
+                                   wjj * float(xs0), self.breakdown_tol)
+        x[self._row] = 0.0
+        self._row = self.support[0] = row
+        if self._narrow:  # round σ, then add in the working precision
+            typ = self.dtype.type
+            xk = typ(xs0) + typ(sigma)
+        else:
+            xk = xs0 + sigma
+        x[row] = xk
+        self._xlow[:] = xs[1:]
+        if self.counting:
+            blas.charge(6 * self.m + 8, "reflector-setup")
+        return xk, -2.0 / xwx
+
+    def _charge_update(self, m: int, c: int) -> None:
+        """The flops of one ``m × c`` panel update, as BLAS would count."""
+        dt = self.dtype.name
+        blas.charge(4 * c, "axpy")
+        blas.charge(2 * m * c, "gemv", dt)
+        blas.charge(2 * m * c, "ger", dt)
+        blas.charge((m if self.wu_identity else 2 * m) * c, "scal")
 
 
 def eliminate_block(upper: np.ndarray, lower: np.ndarray, w: np.ndarray, *,
@@ -234,44 +331,34 @@ def eliminate_block(upper: np.ndarray, lower: np.ndarray, w: np.ndarray, *,
                          "views must have equal shape")
     if q < m:
         raise ShapeError(f"working width {q} smaller than block size {m}")
+    step = ColumnStep(w, upper.dtype, breakdown_tol=breakdown_tol,
+                      elim_dtype=elim_dtype)
+    _eliminate(step, upper, lower, representation, panel,
+               pivot_sign_fixup, collect)
+
+
+def _eliminate(step: ColumnStep, upper: np.ndarray, lower: np.ndarray,
+               representation: str, panel: int | None,
+               pivot_sign_fixup: bool,
+               collect: list[BlockReflector] | None) -> None:
+    """:func:`eliminate_block` with the column step built by the caller
+    (the factorization loops build one for all their block steps)."""
+    m, q = upper.shape
     if panel is None or panel <= 0 or panel > m:
         panel = m
-    round_pivot = (elim_dtype is not None
-                   and np.dtype(elim_dtype) != upper.dtype)
-    support = np.concatenate([np.zeros(1, dtype=np.intp),
-                              np.arange(m, 2 * m, dtype=np.intp)])
-    n2 = 2 * m
-    wu_identity = bool(np.all(w[:m] == 1))
-    wl_negidentity = bool(np.all(w[m:] == -1))
+    application = blas.category("application")
     for pstart in range(0, m, panel):
         pend = min(pstart + panel, m)
-        with blas.category("blocking"):
-            acc = make_accumulator(representation, w, dtype=upper.dtype)
+        acc = step.accumulator(representation)
         # Panel working set in Fortran order: every shrinking ``[:, j:]``
-        # slice stays F-contiguous, so the per-reflector rank-1 updates
-        # run as in-place BLAS ger instead of strided temporaries.
+        # slice stays F-contiguous, as the column step requires.
         pup = np.asfortranarray(upper[:, pstart:pend])
         plo = np.asfortranarray(lower[:, pstart:pend])
         for k in range(pstart, pend):
             j = k - pstart
-            u = np.zeros(n2, dtype=upper.dtype)
-            u[k] = pup[k, j]
-            u[m:] = plo[:, j]
-            if round_pivot:
-                u = u.astype(elim_dtype).astype(upper.dtype)
-            support[0] = k
-            with blas.category("blocking"):
-                refl, _sigma = reflector_annihilating(
-                    u, w, k, support=support.copy(),
-                    breakdown_tol=breakdown_tol)
-            # Update the rest of the current panel sequentially (level 2).
-            with blas.category("panel"):
-                _apply_reflector_pair(refl, pup[:, j:], plo[:, j:], k,
-                                      wu_identity=wu_identity,
-                                      wl_negidentity=wl_negidentity)
-            plo[:, j] = 0.0  # exact annihilation of the pivot column
-            with blas.category("blocking"):
-                acc.append(refl)
+            x, beta = step(pup[:, j:], plo[:, j:], k)
+            with step.blocking:
+                acc.push(x, beta, step.support)
         upper[:, pstart:pend] = pup
         lower[:, pstart:pend] = plo
         u_block = acc.finish()
@@ -280,24 +367,25 @@ def eliminate_block(upper: np.ndarray, lower: np.ndarray, w: np.ndarray, *,
         # Apply the accumulated block transformation to the trailing
         # columns (rest of the pivot block, then the rest of the
         # generator) — the level-3-rich Phase 2.
-        with blas.category("application"):
-            if pend < q:
+        if pend < q:
+            with application:
                 u_block.apply_pair(upper[:, pend:], lower[:, pend:])
     # Each pivot column c is frozen once eliminated and so misses the pure
     # W sign-flip action of the (m−1−c) later reflectors (their rank-1
     # parts vanish on it).  Identity when Σ = I (SPD); required for
     # consistency when the upper signature carries −1 entries.
-    wu = w[:m]
-    if not np.all(wu == 1):
+    if not step.wu_identity:
         cols = np.nonzero((m - 1 - np.arange(m)) % 2 == 1)[0]
         if cols.size:
-            upper[:, cols] *= wu.astype(upper.dtype)[:, None]
+            upper[:, cols] *= step.wf[:m, None]
     if pivot_sign_fixup:
         # Keep the pivot diagonal positive: flipping a whole generator row
         # leaves Gᵀ W G (and hence T) invariant.
-        neg = np.diag(upper[:, :m]) < 0
-        if np.any(neg):
-            upper[neg] *= -1.0
+        neg = upper.diagonal() < 0
+        if neg.all():
+            np.negative(upper, out=upper)
+        elif neg.any():
+            upper *= np.where(neg, -1.0, 1.0)[:, None]
 
 
 def schur_spd_factor(t: SymmetricBlockToeplitz | Generator, *,
@@ -375,17 +463,14 @@ def _factor_in_place(g: Generator, r: PackedUpper, opts: SchurOptions,
     bot = g.gen[m:]
     flush_tiny(g.gen)
     r.write_rows(0, top)
+    step = ColumnStep(g.w, g.gen.dtype, breakdown_tol=opts.breakdown_tol,
+                      elim_dtype=elim)
     for i in range(1, p):
         q = n - i * m
         upper = top[:, :q]
         lower = bot[:, i * m:]
-        eliminate_block(upper, lower, g.w,
-                        representation=opts.representation,
-                        panel=opts.panel,
-                        breakdown_tol=opts.breakdown_tol,
-                        pivot_sign_fixup=opts.normalize_diagonal,
-                        elim_dtype=elim,
-                        collect=collected)
+        _eliminate(step, upper, lower, opts.representation, opts.panel,
+                   opts.normalize_diagonal, collected)
         # fp32: keep the decaying generator out of the subnormal range
         # (an sgemm over subnormals runs ~30× slower than a normal one).
         flush_tiny(upper)
@@ -405,6 +490,8 @@ def _factor_with_shift(g: Generator, r: PackedUpper, opts: SchurOptions,
     flush_tiny(top)
     flush_tiny(bot)
     r.write_rows(0, top)
+    step = ColumnStep(g.w, top.dtype, breakdown_tol=opts.breakdown_tol,
+                      elim_dtype=elim)
     for i in range(1, p):
         q = n - i * m
         # Phase 3 (of the previous step): shift the upper row one block
@@ -415,13 +502,8 @@ def _factor_with_shift(g: Generator, r: PackedUpper, opts: SchurOptions,
         upper = top[:, i * m:]
         lower = bot[:, i * m:]
         assert upper.shape == (m, q) and lower.shape == (m, q)
-        eliminate_block(upper, lower, g.w,
-                        representation=opts.representation,
-                        panel=opts.panel,
-                        breakdown_tol=opts.breakdown_tol,
-                        pivot_sign_fixup=opts.normalize_diagonal,
-                        elim_dtype=elim,
-                        collect=collected)
+        _eliminate(step, upper, lower, opts.representation, opts.panel,
+                   opts.normalize_diagonal, collected)
         flush_tiny(upper)
         flush_tiny(lower)
         r.write_rows(i * m, upper)

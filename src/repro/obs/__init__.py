@@ -62,16 +62,16 @@ from repro.obs.metrics import (
     render_prometheus,
     set_default_registry,
 )
-from repro.obs.export import (
-    merge_rank_traces,
-    read_jsonl,
-    span_records,
-    trace_records,
-    write_jsonl,
-)
-from repro.obs.analyze import TraceReport, analyze_file, analyze_records
-from repro.obs.timeline import chrome_trace, write_chrome_trace
 from repro.obs.health import health_summary, render_health
+from repro._lazy import lazy_exports
+
+# Export, analysis and timeline load on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.export": ("merge_rank_traces", "read_jsonl", "span_records",
+                         "trace_records", "write_jsonl"),
+    "repro.obs.analyze": ("TraceReport", "analyze_file", "analyze_records"),
+    "repro.obs.timeline": ("chrome_trace", "write_chrome_trace"),
+})
 
 __all__ = [
     "COMM_KINDS",

@@ -25,30 +25,11 @@ to simulation when the multiprocess backend is unavailable);
 model the paper's trade-off discussion implies.
 """
 
+from repro._lazy import lazy_exports
 from repro.parallel.distributions import (
     BlockCyclicLayout,
     SpreadLayout,
     make_layout,
-)
-from repro.parallel.driver import (
-    simulate_factorization,
-    simulate_solve,
-    simulate_triangular_solve,
-    SimulatedRun,
-)
-from repro.parallel.analytic import analytic_factor_time, AnalyticBreakdown
-from repro.parallel.backends import (
-    BACKENDS,
-    DistributedFactorization,
-    factor_distributed,
-)
-from repro.parallel.mp_backend import (
-    MPRun,
-    MPSolveRun,
-    SCHEDULES,
-    mp_factorization,
-    mp_triangular_solve,
-    multiprocess_available,
 )
 from repro.parallel.transport import (
     Transport,
@@ -57,6 +38,18 @@ from repro.parallel.transport import (
     get_transport,
     register_transport,
 )
+
+# The simulator and the backends load on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.parallel.driver": ("simulate_factorization", "simulate_solve",
+                              "simulate_triangular_solve", "SimulatedRun"),
+    "repro.parallel.analytic": ("analytic_factor_time", "AnalyticBreakdown"),
+    "repro.parallel.backends": ("BACKENDS", "DistributedFactorization",
+                                "factor_distributed"),
+    "repro.parallel.mp_backend": ("MPRun", "MPSolveRun", "SCHEDULES",
+                                  "mp_factorization", "mp_triangular_solve",
+                                  "multiprocess_available"),
+})
 
 __all__ = [
     "BlockCyclicLayout",

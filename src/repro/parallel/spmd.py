@@ -33,9 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.block_reflector import make_accumulator
-from repro.core.hyperbolic import reflector_annihilating
-from repro.core.schur_spd import _apply_reflector_pair, eliminate_block
+from repro.core.schur_spd import ColumnStep, eliminate_block
 from repro.errors import DistributionError
 from repro.machine.ops import Barrier, Broadcast, Compute, Put, Recv
 from repro.parallel import costs
@@ -173,19 +171,17 @@ def build_partial_transform(upper: np.ndarray, lower: np.ndarray,
     ``negrows`` are the pivot rows whose diagonal came out negative (to
     be sign-flipped machine-wide).
     """
-    m, mc = upper.shape
-    n2 = 2 * m
-    acc = make_accumulator(representation, w)
+    mc = upper.shape[1]
+    column = ColumnStep(w, upper.dtype)
+    acc = column.accumulator(representation)
+    # Fortran-ordered working copies: the column step updates in place.
+    fu = np.asfortranarray(upper)
+    fl = np.asfortranarray(lower)
     for k in range(mc):
-        row = row_offset + k
-        u = np.zeros(n2)
-        u[row] = upper[row, k]
-        u[m:] = lower[:, k]
-        support = np.concatenate([[row], np.arange(m, n2)]).astype(np.intp)
-        refl, _sigma = reflector_annihilating(u, w, row, support=support)
-        _apply_reflector_pair(refl, upper[:, k:], lower[:, k:], row)
-        lower[:, k] = 0.0
-        acc.append(refl)
+        x, beta = column(fu[:, k:], fl[:, k:], row_offset + k)
+        acc.push(x, beta, column.support)
+    upper[:] = fu
+    lower[:] = fl
     u_block = acc.finish()
     diag = np.array([upper[row_offset + k, k] for k in range(mc)])
     negrows = row_offset + np.nonzero(diag < 0)[0]

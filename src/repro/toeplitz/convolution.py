@@ -18,11 +18,11 @@ equalization with noisy data.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft as sfft
 
 from repro.errors import ShapeError
 from repro.utils.fingerprint import content_fingerprint
 from repro.toeplitz.block_toeplitz import SymmetricBlockToeplitz
+from repro.toeplitz.matvec import next_fast_len
 
 __all__ = ["ConvolutionOperator", "toeplitz_lstsq"]
 
@@ -55,8 +55,8 @@ class ConvolutionOperator:
         self.block_size = h.shape[1]
         self.n_in = n_in
         self.n_out = n_in + self.length - 1
-        self._nfft = sfft.next_fast_len(self.n_out)
-        self._hf = sfft.rfft(h, n=self._nfft, axis=0)
+        self._nfft = next_fast_len(self.n_out)
+        self._hf = np.fft.rfft(h, n=self._nfft, axis=0)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -73,9 +73,9 @@ class ConvolutionOperator:
             raise ShapeError(
                 f"x has {xc.shape[0]} rows, expected {self.n_in * m}")
         xb = xc.reshape(self.n_in, m, -1)
-        xf = sfft.rfft(xb, n=self._nfft, axis=0)
+        xf = np.fft.rfft(xb, n=self._nfft, axis=0)
         yf = np.einsum("fab,fbr->far", self._hf, xf)
-        y = sfft.irfft(yf, n=self._nfft, axis=0)[:self.n_out]
+        y = np.fft.irfft(yf, n=self._nfft, axis=0)[:self.n_out]
         y = y.reshape(self.n_out * m, -1)
         return y[:, 0] if single else y
 
@@ -89,10 +89,10 @@ class ConvolutionOperator:
             raise ShapeError(
                 f"y has {yc.shape[0]} rows, expected {self.n_out * m}")
         yb = yc.reshape(self.n_out, m, -1)
-        yf = sfft.rfft(yb, n=self._nfft, axis=0)
+        yf = np.fft.rfft(yb, n=self._nfft, axis=0)
         # (Cᵀy)_i = Σ_t H_{t−i}ᵀ y_t : correlate with the conjugate filter
         xf = np.einsum("fba,fbr->far", self._hf.conj(), yf)
-        x = sfft.irfft(xf, n=self._nfft, axis=0)[:self.n_in]
+        x = np.fft.irfft(xf, n=self._nfft, axis=0)[:self.n_in]
         x = x.reshape(self.n_in * m, -1)
         return x[:, 0] if single else x
 

@@ -14,11 +14,33 @@ where the *original* unperturbed ``T`` must be applied repeatedly.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft as sfft
 
 from repro.utils.lintools import as_panel, from_panel
 
-__all__ = ["BlockCirculantEmbedding", "block_toeplitz_matvec"]
+__all__ = ["BlockCirculantEmbedding", "block_toeplitz_matvec",
+           "next_fast_len"]
+
+#: Radices of the FFT's fast kernels (pocketfft, behind ``numpy.fft``).
+_FAST_RADICES = (2, 3, 5, 7, 11)
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest length ``≥ n`` whose prime factors are all at most 11.
+
+    The FFT is fastest at such lengths.  For positive ``n`` this equals
+    SciPy's ``scipy.fft.next_fast_len(n)`` (complex transforms, its
+    default), without importing :mod:`scipy.fft`, which loads
+    :mod:`scipy.special`.
+    """
+    size = max(int(n), 1)
+    while True:
+        rest = size
+        for radix in _FAST_RADICES:
+            while rest % radix == 0:
+                rest //= radix
+        if rest == 1:
+            return size
+        size += 1
 
 
 def _diagonal_block(t, d: int) -> np.ndarray:
@@ -54,13 +76,13 @@ class BlockCirculantEmbedding:
     def __init__(self, t):
         p = t.num_blocks
         m = t.block_size
-        N = sfft.next_fast_len(max(2 * p - 1, 2))
+        N = next_fast_len(max(2 * p - 1, 2))
         ker = np.zeros((N, m, m))
         ker[0] = _diagonal_block(t, 0)
         for s in range(1, p):
             ker[s] = _diagonal_block(t, -s)       # t = s  → C_{−s}
             ker[N - s] = _diagonal_block(t, s)    # t = N−s ≡ −s → C_{s}
-        self._kf = sfft.rfft(ker, axis=0)
+        self._kf = np.fft.rfft(ker, axis=0)
         self._N = N
         self._p = p
         self._m = m
@@ -83,9 +105,9 @@ class BlockCirculantEmbedding:
         nrhs = x.shape[1]
         xp = np.zeros((self._N, self._m, nrhs))
         xp[:self._p] = x.reshape(self._p, self._m, nrhs)
-        xf = sfft.rfft(xp, axis=0)
+        xf = np.fft.rfft(xp, axis=0)
         yf = np.einsum("fab,fbr->far", self._kf, xf)
-        y = sfft.irfft(yf, n=self._N, axis=0)[:self._p]
+        y = np.fft.irfft(yf, n=self._N, axis=0)[:self._p]
         return from_panel(y.reshape(self._n, nrhs), single)
 
     __call__ = matvec

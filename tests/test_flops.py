@@ -4,10 +4,12 @@ agreement with instrumented counts."""
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.blas import primitives as blas
 from repro.core import flops as F
 from repro.core.schur_spd import SchurOptions, schur_spd_factor
 from repro.errors import ShapeError
+from repro.obs import MetricsRegistry
 from repro.toeplitz import ar_block_toeplitz, kms_toeplitz
 
 
@@ -200,3 +202,72 @@ class TestCountedVsModel:
             totals[ms] = c.total
         assert 1.5 < totals[4] / totals[2] < 2.8
         assert 1.5 < totals[8] / totals[4] < 2.8
+
+
+#: Counted flops of ``schur_spd_factor(ar_block_toeplitz(16, 4, seed=1))``
+#: per configuration: (total, by_category, by_primitive).
+_GENERATOR = {"potrf": 21, "trsm": 2048}
+COUNT_PINS = {
+    "vy1": (65309,
+            {"application": 53760, "blocking": 5880, "misc": 2069,
+             "panel": 3600},
+            {"axpy": 600, "gemm": 53760, "gemv": 4080, "ger": 1200,
+             "reflector-setup": 1920, "scal": 1680, **_GENERATOR}),
+    "vy2": (65309,
+            {"application": 53760, "blocking": 5880, "misc": 2069,
+             "panel": 3600},
+            {"axpy": 600, "gemm": 53760, "gemv": 2640, "ger": 2640,
+             "reflector-setup": 1920, "scal": 1680, **_GENERATOR}),
+    "yty": (77459,
+            {"application": 67200, "blocking": 4590, "misc": 2069,
+             "panel": 3600},
+            {"axpy": 600, "gemm": 67200, "gemv": 3060, "ger": 1200,
+             "reflector-setup": 1920, "scal": 1410, **_GENERATOR}),
+    "unblocked": (41189,
+                  {"application": 33600, "blocking": 1920, "misc": 2069,
+                   "panel": 3600},
+                  {"axpy": 600, "gemv": 18000, "ger": 18000,
+                   "reflector-setup": 1920, "scal": 600, **_GENERATOR}),
+    "dense": (78629,
+              {"application": 53760, "blocking": 19200, "misc": 2069,
+               "panel": 3600},
+              {"axpy": 600, "gemm": 61440, "gemv": 6000, "ger": 6000,
+               "reflector-setup": 1920, "scal": 600, **_GENERATOR}),
+    "vy2-panel2": (63269,
+                   {"application": 55680, "blocking": 3360, "misc": 2069,
+                    "panel": 2160},
+                   {"axpy": 360, "gemm": 55680, "gemv": 1200, "ger": 1200,
+                    "reflector-setup": 1920, "scal": 840, **_GENERATOR}),
+}
+
+
+class TestCountPins:
+    """The column step charges its flops itself, batched per step, rather
+    than through counted BLAS calls; the eqs. 25–32 validation needs the
+    counts exactly as those calls would charge them."""
+
+    @pytest.mark.parametrize("config", sorted(COUNT_PINS))
+    def test_counts_unchanged(self, config):
+        rep, _, panel = config.partition("-panel")
+        options = SchurOptions(representation=rep,
+                               panel=int(panel) if panel else None)
+        with blas.counting() as c:
+            schur_spd_factor(ar_block_toeplitz(16, 4, seed=1),
+                             options=options)
+        total, by_category, by_primitive = COUNT_PINS[config]
+        assert c.total == total
+        assert c.by_category == by_category
+        assert c.by_primitive == by_primitive
+
+    def test_phase_split_on_the_eliminate_span(self):
+        prev = obs.set_default_registry(MetricsRegistry())
+        obs.enable()
+        try:
+            with obs.span("test") as root:
+                schur_spd_factor(ar_block_toeplitz(16, 4, seed=1))
+        finally:
+            obs.disable()
+            obs.set_default_registry(prev)
+        eliminate = next(s for s in root.walk()
+                         if s.name == "schur.eliminate")
+        assert {"blocking", "panel", "application"} <= set(eliminate.phases)
