@@ -39,17 +39,7 @@ from repro.core import (
     SPDFactorization,
     IndefiniteFactorization,
     RefinementResult,
-    regrouped_factor,
-    choose_block_size,
-    generalized_schur_factor,
-    generator_from_dense,
-    matrix_from_generator,
-    iter_r_block_rows,
-    streaming_whiten,
-    streaming_logdet,
-    gaussian_loglikelihood,
     condest,
-    solve_toeplitz_gko,
 )
 from repro.toeplitz import (
     BlockToeplitz,
@@ -76,10 +66,18 @@ from repro.engine import (
 from repro import errors
 from repro._lazy import lazy_exports
 
-# The planner's machine study (and the simulator behind it) loads on use.
-__getattr__, __dir__ = lazy_exports(
-    __name__, {"repro.tuning": ("tune", "choose_distribution")},
-    submodules=("tuning", "machine", "parallel"))
+# The planner's machine study (and the simulator behind it) and the
+# solver tiers beside the Schur core load on use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.tuning": ("tune", "choose_distribution"),
+    "repro.core.regroup": ("regrouped_factor", "choose_block_size"),
+    "repro.core.displacement_rank": ("generalized_schur_factor",
+                                     "generator_from_dense",
+                                     "matrix_from_generator"),
+    "repro.core.streaming": ("iter_r_block_rows", "streaming_whiten",
+                             "streaming_logdet", "gaussian_loglikelihood"),
+    "repro.core.gko": ("solve_toeplitz_gko",),
+}, submodules=("tuning", "machine", "parallel"))
 
 __all__ = [
     "__version__",

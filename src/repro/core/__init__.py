@@ -20,6 +20,9 @@ Layout mirrors the paper:
 * :mod:`repro.core.precision` — the precision axis: working/elimination
   dtypes and the condest-based refinement admission rule.
 * :mod:`repro.core.solve` — the high-level user API.
+
+The regroup, displacement-rank, streaming, GKO and Gohberg–Semencul
+modules load on first use of one of their names (:mod:`repro._lazy`).
 """
 
 from repro.core.signature import (
@@ -61,20 +64,6 @@ from repro.core.solve import (
     solve,
     solve_refined,
 )
-from repro.core.regroup import regrouped_factor, choose_block_size
-from repro.core.displacement_rank import (
-    displacement_rank,
-    generator_from_dense,
-    matrix_from_generator,
-    generalized_schur_factor,
-    GeneralizedFactorization,
-)
-from repro.core.streaming import (
-    iter_r_block_rows,
-    streaming_whiten,
-    streaming_logdet,
-    gaussian_loglikelihood,
-)
 from repro.core.condest import condest, one_norm, invnorm_estimate
 from repro.core.precision import (
     PRECISIONS,
@@ -84,19 +73,38 @@ from repro.core.precision import (
     refinement_admissible,
     validate_precision,
 )
-from repro.core.gko import (
-    cauchy_like_lu,
-    CauchyLikeLU,
-    solve_toeplitz_gko,
-    toeplitz_to_cauchy,
-)
-from repro.core.gohberg_semencul import ToeplitzInverse, toeplitz_inverse
 from repro.core.compact import (
     COMPACT_SCHEMA_VERSION,
     CompactFactorization,
     array_hash,
 )
 from repro.core import flops
+from repro._lazy import lazy_exports
+
+# ``displacement_rank`` names the function, as before, not its module.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.regroup": ("regrouped_factor", "choose_block_size"),
+    "repro.core.displacement_rank": (
+        "displacement_rank",
+        "generator_from_dense",
+        "matrix_from_generator",
+        "generalized_schur_factor",
+        "GeneralizedFactorization",
+    ),
+    "repro.core.streaming": (
+        "iter_r_block_rows",
+        "streaming_whiten",
+        "streaming_logdet",
+        "gaussian_loglikelihood",
+    ),
+    "repro.core.gko": (
+        "cauchy_like_lu",
+        "CauchyLikeLU",
+        "solve_toeplitz_gko",
+        "toeplitz_to_cauchy",
+    ),
+    "repro.core.gohberg_semencul": ("ToeplitzInverse", "toeplitz_inverse"),
+}, submodules=("regroup", "streaming", "gko", "gohberg_semencul"))
 
 __all__ = [
     "signature_vector",

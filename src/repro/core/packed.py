@@ -21,6 +21,13 @@ what lets a single vector solve with three BLAS-2 calls on them instead
 of ``?tfsm``, which is markedly slower at one column.  For odd ``n`` the
 ``A11`` block has a leading dimension of ``n2``, which the SciPy BLAS
 wrappers cannot express, so vectors go through ``?tfsm`` too.
+
+Entry ``R[r, c]`` (``r ≤ c``) sits at ``P[r, c − n1]`` when ``c ≥ n1``
+and at ``P[n1 + 1 + c, r]`` otherwise, so a block of ``R`` on one side
+of column ``n1`` is one slice of ``P``.  The block helpers
+(:meth:`PackedUpper.write_block`, :meth:`~PackedUpper.block_row`,
+:meth:`~PackedUpper.block_column`) use that to let the distributed
+workers gather and read ``R`` in a shared packed buffer.
 """
 
 from __future__ import annotations
@@ -69,6 +76,11 @@ class PackedUpper:
         self.data = data
         self.n = n
         self._dense: np.ndarray | None = None
+        # R[r, c] (r <= c) is _p[r, c - n1] for c >= n1, else _u11[r, c].
+        n1 = n // 2
+        self._n1 = n1
+        self._p = data.reshape(2 * n1 + 1, n - n1)
+        self._u11 = self._p[n1 + 1:, :n1].T
 
     @classmethod
     def zeros(cls, n: int, dtype=np.float64) -> "PackedUpper":
@@ -82,10 +94,8 @@ class PackedUpper:
     def _views(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(U11, A12, U22)``: square views whose upper triangles are
         ``A11`` and ``A22``, and the dense ``A12`` block."""
-        n1 = self.n // 2
-        n2 = self.n - n1
-        p = self.data.reshape(2 * n1 + 1, n2)
-        return p[n1 + 1:, :n1].T, p[:n1], p[n1:n1 + n2]
+        n1 = self._n1
+        return self._u11, self._p[:n1], self._p[n1:self.n]
 
     # ------------------------------------------------------------------
     def write_rows(self, start: int, rows: np.ndarray) -> None:
@@ -95,15 +105,80 @@ class PackedUpper:
         above the diagonal are stored; what lies below (rounding residue
         in a pivot block) is dropped.
         """
-        n1 = self.n // 2
-        u11, a12, u22 = self._views()
-        if start < n1:
-            top = rows[:n1 - start]
-            _store_upper(u11, start, top[:, :n1 - start])
-            a12[start:start + top.shape[0]] = top[:, n1 - start:]
-        if start + rows.shape[0] > n1:
-            s = max(start, n1) - start
-            _store_upper(u22, start + s - n1, rows[s:, s:])
+        self.write_block(start, start, rows)
+
+    def write_block(self, r0: int, c0: int, blk: np.ndarray) -> None:
+        """Store ``R[r0:r0+h, c0:c0+w] = blk`` on and above the diagonal.
+
+        Entries of ``blk`` below the diagonal are dropped, as in
+        :meth:`write_rows`; nothing else in the buffer is written, so
+        processes sharing the buffer may write disjoint blocks at once.
+        """
+        h, w = blk.shape
+        n1 = self._n1
+        if r0 + h <= c0 + 1:            # wholly on or above the diagonal
+            if c0 >= n1:
+                self._p[r0:r0 + h, c0 - n1:c0 - n1 + w] = blk
+                return
+            if c0 + w <= n1:
+                self._u11[r0:r0 + h, c0:c0 + w] = blk
+                return
+        if c0 < n1 < c0 + w:            # straddles the RFP split
+            self.write_block(r0, c0, blk[:, :n1 - c0])
+            self.write_block(r0, n1, blk[:, n1 - c0:])
+            return
+        k = r0 - c0                     # blk[t, j] is stored iff j - t >= k
+        d = min(k + h - 1, w)           # leading columns that cross it
+        h = min(h, w - k)               # later rows lie wholly below it
+        if h <= 0:
+            return
+        dst = (self._p[r0:r0 + h, c0 - n1:c0 - n1 + w] if c0 >= n1
+               else self._u11[r0:r0 + h, c0:c0 + w])
+        np.copyto(dst[:, :d], blk[:h, :d], where=_triu_mask(h, d, k))
+        dst[:, d:] = blk[:h, d:]
+
+    def block_row(self, r0: int, h: int, cols: np.ndarray) -> np.ndarray:
+        """``R[r0:r0+h, cols]`` as a new array; ``cols`` ascending.
+
+        Entries below the diagonal read as zero.
+        """
+        cols = np.asarray(cols, dtype=np.intp)
+        n1 = self._n1
+        split = int(np.searchsorted(cols, n1))    # cols[:split] < n1
+        if split == 0:
+            out = self._p[r0:r0 + h, cols - n1]
+        elif r0 + h <= n1:
+            out = self._u11[r0:r0 + h, cols[:split]]
+            if split < cols.size:
+                out = np.concatenate(
+                    (out, self._p[r0:r0 + h, cols[split:] - n1]), axis=1)
+        else:                           # rows straddle the split too
+            out = np.zeros((h, cols.size), dtype=self.dtype)
+            hl = max(0, n1 - r0)
+            out[:hl, :split] = self._u11[r0:r0 + hl, cols[:split]]
+            out[:, split:] = self._p[r0:r0 + h, cols[split:] - n1]
+        if cols.size and r0 + h - 1 > cols[0]:
+            out[np.arange(r0, r0 + h)[:, None] > cols] = 0
+        return out
+
+    def block_column(self, c0: int, w: int) -> np.ndarray:
+        """``R[:c0, c0:c0+w]``, the strip above the diagonal block at
+        ``(c0, c0)``.
+
+        A read-only view of the buffer when the strip lies on one side of
+        the RFP split (``n // 2``), otherwise a new array.
+        """
+        n1 = self._n1
+        if c0 >= n1:
+            strip = self._p[:c0, c0 - n1:c0 - n1 + w]
+        elif c0 + w <= n1:
+            strip = self._u11[:c0, c0:c0 + w]
+        else:
+            return np.hstack([self._u11[:c0, c0:n1],
+                              self._p[:c0, :c0 + w - n1]])
+        strip = strip.view()
+        strip.flags.writeable = False
+        return strip
 
     def diagonal(self) -> np.ndarray:
         """The diagonal of ``R`` (a copy)."""
@@ -179,18 +254,10 @@ class PackedUpper:
         return f"PackedUpper(n={self.n}, dtype={self.dtype.name})"
 
 
-def _store_upper(u: np.ndarray, start: int, rows: np.ndarray) -> None:
-    """``u[start + t, start + j] = rows[t, j]`` for every ``j ≥ t``."""
-    h = rows.shape[0]
-    u[start:start + h, start + h:] = rows[:, h:]
-    np.copyto(u[start:start + h, start:start + h], rows[:, :h],
-              where=_triu_mask(h))
-
-
-@functools.lru_cache(maxsize=16)
-def _triu_mask(h: int) -> np.ndarray:
-    """The ``h × h`` upper-triangle mask (one per block size, kept)."""
-    mask = np.triu(np.ones((h, h), dtype=bool))
+@functools.lru_cache(maxsize=64)
+def _triu_mask(h: int, w: int, k: int) -> np.ndarray:
+    """The ``h × w`` mask of ``j − t ≥ k`` (one per block shape, kept)."""
+    mask = np.triu(np.ones((h, w), dtype=bool), k)
     mask.flags.writeable = False
     return mask
 

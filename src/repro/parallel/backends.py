@@ -18,7 +18,9 @@ factorization (``fallback_reason``) and on the enclosing span — the run
 still succeeds, just on the model instead of the metal.
 
 Either way the result is a :class:`DistributedFactorization`: the
-triangular factor ``R`` with the same ``solve``/``logdet`` surface as
+triangular factor ``R``, kept packed (``n(n+1)/2`` words, see
+:mod:`repro.core.packed`) from the gather on, with the same
+``solve``/``logdet`` surface as
 the serial :class:`~repro.core.schur_spd.SPDFactorization`, so engine
 caching and the solve stage are backend-agnostic.  ``solve`` keeps the
 data plane distributed: it routes vector and panel right-hand sides
@@ -37,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 import repro.obs as obs
+from repro.core.packed import PackedUpper
 from repro.errors import (
     DistributionError,
     InvalidOptionError,
@@ -53,8 +56,7 @@ from repro.parallel.mp_backend import (
     mp_triangular_solve,
     multiprocess_available,
 )
-from repro.utils.lintools import as_panel, from_panel, \
-    solve_upper_triangular
+from repro.utils.lintools import as_panel, from_panel
 
 __all__ = ["BACKENDS", "DistributedFactorization", "factor_distributed"]
 
@@ -62,7 +64,7 @@ __all__ = ["BACKENDS", "DistributedFactorization", "factor_distributed"]
 BACKENDS = ("simulated", "multiprocess")
 
 
-@dataclass
+@dataclass(init=False)
 class DistributedFactorization:
     """Gathered result of a distributed factorization ``T = RᵀR``.
 
@@ -73,9 +75,13 @@ class DistributedFactorization:
     (:class:`~repro.parallel.mp_backend.MPRun` or
     :class:`~repro.parallel.driver.SimulatedRun`) for timing and
     communication accounting.
+
+    ``R`` lives in ``packed``; construct with ``packed=`` or with a dense
+    upper-triangular ``r`` (packed on construction).  :attr:`r` is a
+    dense read-only copy, unpacked on first access.
     """
 
-    r: np.ndarray
+    packed: PackedUpper
     block_size: int
     num_blocks: int
     representation: str
@@ -96,9 +102,41 @@ class DistributedFactorization:
     #: :class:`~repro.machine.simulator.MachineReport`).
     last_solve_run: object = field(default=None, compare=False)
 
+    def __init__(self, r: np.ndarray | None = None, *, block_size: int,
+                 num_blocks: int, representation: str, nproc: int,
+                 backend: str, requested_backend: str,
+                 fallback_reason: str = "", run: object | None = None,
+                 transport: str = "shared_memory",
+                 packed: PackedUpper | None = None):
+        if packed is None:
+            r = np.asarray(r, dtype=np.float64)
+            packed = PackedUpper.zeros(r.shape[0])
+            packed.write_rows(0, r)
+        self.packed = packed
+        self.block_size = block_size
+        self.num_blocks = num_blocks
+        self.representation = representation
+        self.nproc = nproc
+        self.backend = backend
+        self.requested_backend = requested_backend
+        self.fallback_reason = fallback_reason
+        self.run = run
+        self.transport = transport
+        self.last_solve_backend = ""
+        self.last_solve_fallback_reason = ""
+        self.last_solve_run = None
+
+    @property
+    def r(self) -> np.ndarray:
+        """Dense read-only ``R``: unpacked on first access, then kept.
+
+        Solves never read it; it exists for inspection and tests.
+        """
+        return self.packed.dense
+
     @property
     def order(self) -> int:
-        return self.r.shape[0]
+        return self.packed.n
 
     @property
     def fell_back(self) -> bool:
@@ -131,9 +169,9 @@ class DistributedFactorization:
         return "serial", "backend run carries no per-PE results"
 
     def _solve_serial(self, b: np.ndarray) -> np.ndarray:
-        panel, single = as_panel(b, self.order)
-        y = solve_upper_triangular(self.r, panel, trans=True)
-        return from_panel(solve_upper_triangular(self.r, y), single)
+        panel, single = as_panel(b, self.order, dtype=self.packed.dtype)
+        y = self.packed.solve(panel, trans=True)
+        return from_panel(self.packed.solve(y, overwrite_b=True), single)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``T X = B`` (vector or ``n × k`` panel).
@@ -152,7 +190,7 @@ class DistributedFactorization:
             if route == "multiprocess":
                 try:
                     srun = mp_triangular_solve(
-                        self.r, self.run.layout, b,
+                        self.packed, self.run.layout, b,
                         block_size=self.block_size,
                         transport=self.transport)
                     self.last_solve_backend = "multiprocess"
@@ -190,7 +228,7 @@ class DistributedFactorization:
         :class:`NotPositiveDefiniteError` (matching the serial path)
         instead of silently folding the sign away with ``abs``.
         """
-        d = np.diag(self.r)
+        d = self.packed.diagonal()
         if d.size == 0 or np.min(d) <= 0.0 or not np.all(np.isfinite(d)):
             raise NotPositiveDefiniteError(
                 "distributed factor has a nonpositive diagonal entry — "
@@ -202,7 +240,8 @@ class DistributedFactorization:
 def _from_run(run, pl, *, backend: str, reason: str
               ) -> DistributedFactorization:
     return DistributedFactorization(
-        r=run.r, block_size=run.block_size, num_blocks=run.num_blocks,
+        packed=run.packed, block_size=run.block_size,
+        num_blocks=run.num_blocks,
         representation=run.representation, nproc=pl.nproc,
         backend=backend, requested_backend=pl.backend,
         fallback_reason=reason, run=run,

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.blas.cray import T3DNetworkParameters, t3d_node_model
 from repro.core.generator import spd_generator
+from repro.core.packed import PackedUpper
 from repro.errors import DistributionError, ShapeError
 from repro.machine.network import Torus3D
 from repro.machine.simulator import Machine, MachineReport
@@ -31,14 +32,23 @@ __all__ = ["SimulatedRun", "simulate_factorization",
 
 @dataclass
 class SimulatedRun:
-    """Result of one simulated distributed factorization."""
+    """Result of one simulated distributed factorization.
 
-    r: np.ndarray | None
+    ``packed`` is the gathered factor in packed storage (``None`` when
+    not collected); :attr:`r` is a dense copy for callers that want one.
+    """
+
+    packed: PackedUpper | None
     report: MachineReport
     layout: object
     block_size: int
     num_blocks: int
     representation: str
+
+    @property
+    def r(self) -> np.ndarray | None:
+        """Dense read-only ``R``, unpacked on first access (or ``None``)."""
+        return None if self.packed is None else self.packed.dense
 
     @property
     def time(self) -> float:
@@ -123,7 +133,8 @@ def simulate_factorization(t: SymmetricBlockToeplitz,
     Returns
     -------
     SimulatedRun
-        With ``r`` (when collected) and the virtual-time report.
+        With the packed factor (when collected) and the virtual-time
+        report.
     """
     if plan is not None:
         if nproc is None:
@@ -181,10 +192,9 @@ def simulate_factorization(t: SymmetricBlockToeplitz,
     else:
         raise DistributionError(f"unknown layout {layout!r}")
 
-    r = None
+    packed = None
     if collect:
-        n = m * p
-        r = np.zeros((n, n))
+        packed = PackedUpper.zeros(m * p)
         mc = layout.chunk_width(m) if isinstance(layout, SpreadLayout) \
             else m
         for res in report.results:
@@ -193,12 +203,12 @@ def simulate_factorization(t: SymmetricBlockToeplitz,
             for key, blk in res.items():
                 if len(key) == 2:
                     i, j = key
-                    r[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk
+                    col0 = j * m
                 else:
                     i, j, c = key
                     col0 = j * m + c * mc
-                    r[i * m:(i + 1) * m, col0:col0 + mc] = blk
-    return SimulatedRun(r=r, report=report, layout=layout,
+                packed.write_block(i * m, col0, blk)
+    return SimulatedRun(packed=packed, report=report, layout=layout,
                         block_size=m, num_blocks=p,
                         representation=representation)
 

@@ -28,6 +28,11 @@ Three SPMD programs run here:
   panel right-hand sides, with per-PE level-3 sweeps over each PE's
   local columns.
 
+Workers gather ``R`` block by block straight into one packed segment
+(:class:`~repro.core.packed.PackedUpper`, ``n(n+1)/2`` words), which the
+parent copies out once; the triangular solve shares the packed buffer
+with its workers the same way.
+
 Communication volume is *counted* with the same formulas the simulator
 charges (shift words per put, §6.3 transform words per broadcast,
 ``m·k`` words per solve collective), so the counters of a real run and a
@@ -53,6 +58,7 @@ leak tests).
 
 from __future__ import annotations
 
+import bisect
 import os
 import pickle
 import time
@@ -63,6 +69,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.generator import spd_generator
+from repro.core.packed import PackedUpper, packed_size
 from repro.core.schur_spd import eliminate_block
 from repro.errors import (
     DistributionError,
@@ -214,7 +221,7 @@ def _block_cyclic_worker(rank, nproc, tname, gen_h, r_h, m, p, w, layout,
         if collect:
             r_att = tr.attach(r_h)
             atts.append(r_att)
-            r = r_att.array
+            r = PackedUpper(r_att.array, m * p)
         _maybe_crash(rank, "attach")
         my_blocks = layout.blocks_of(rank, p)
         phases = _Phases()
@@ -236,7 +243,7 @@ def _block_cyclic_worker(rank, nproc, tname, gen_h, r_h, m, p, w, layout,
         if collect:
             phases.start()
             for j in my_blocks:
-                r[0:m, j * m:(j + 1) * m] = upper(j)
+                r.write_block(0, j * m, upper(j))
             phases.stop("gather")
         wait()
 
@@ -293,7 +300,7 @@ def _block_cyclic_worker(rank, nproc, tname, gen_h, r_h, m, p, w, layout,
                 phases.start()
                 for j in my_blocks:
                     if j >= i:
-                        r[i * m:(i + 1) * m, j * m:(j + 1) * m] = upper(j)
+                        r.write_block(i * m, j * m, upper(j))
                 phases.stop("gather")
             wait()
 
@@ -323,7 +330,7 @@ def _spread_worker(rank, nproc, tname, gen_h, r_h, m, p, w, layout,
         if collect:
             r_att = tr.attach(r_h)
             atts.append(r_att)
-            r = r_att.array
+            r = PackedUpper(r_att.array, m * p)
         _maybe_crash(rank, "attach")
         s = layout.spread
         mc = layout.chunk_width(m)
@@ -350,7 +357,7 @@ def _spread_worker(rank, nproc, tname, gen_h, r_h, m, p, w, layout,
         if collect:
             phases.start()
             for (j, c) in my_chunks:
-                r[0:m, col0(j, c):col0(j, c) + mc] = upper(j, c)
+                r.write_block(0, col0(j, c), upper(j, c))
             phases.stop("gather")
         wait()
 
@@ -403,8 +410,7 @@ def _spread_worker(rank, nproc, tname, gen_h, r_h, m, p, w, layout,
                 phases.start()
                 for (j, c) in my_chunks:
                     if j >= i:
-                        r[i * m:(i + 1) * m,
-                          col0(j, c):col0(j, c) + mc] = upper(j, c)
+                        r.write_block(i * m, col0(j, c), upper(j, c))
                 phases.stop("gather")
             wait()
 
@@ -482,7 +488,7 @@ def _lookahead_worker(rank, nproc, tname, gen_h, r_h, ups_h, upflag_h,
         ups, upflag = att(ups_h), att(upflag_h)
         piv, pivflag = att(piv_h), att(pivflag_h)
         uslot, ulen = att(uslot_h), att(ulen_h)
-        r = att(r_h) if collect else None
+        r = PackedUpper(att(r_h), m * p) if collect else None
 
         my_blocks = layout.blocks_of(rank, p)
         # Private working copy of this PE's block columns (the shared
@@ -543,13 +549,13 @@ def _lookahead_worker(rank, nproc, tname, gen_h, r_h, ups_h, upflag_h,
                 state[j] = s
                 if collect:
                     phases.start()
-                    r[s * m:(s + 1) * m, j * m:(j + 1) * m] = upper(j)
+                    r.write_block(s * m, j * m, upper(j))
                     phases.stop("gather")
 
         if collect:
             phases.start()
             for j in my_blocks:
-                r[0:m, j * m:(j + 1) * m] = upper(j)
+                r.write_block(0, j * m, upper(j))
             phases.stop("gather")
 
         # Initial shift round: block j's upper at step 1 is the initial
@@ -582,7 +588,7 @@ def _lookahead_worker(rank, nproc, tname, gen_h, r_h, ups_h, upflag_h,
                 phases.stop("blocking")
                 if collect:
                     phases.start()
-                    r[i * m:(i + 1) * m, i * m:(i + 1) * m] = up
+                    r.write_block(i * m, i * m, up)
                     phases.stop("gather")
                 if i + 1 < p:
                     put_pivot(i + 1, up)
@@ -651,11 +657,16 @@ def _solve_worker(rank, nproc, tname, r_h, b_h, y_h, x_h, red_h,
             atts.append(a)
             return a.array
 
-        rmat, bmat = att(r_h), att(b_h)
+        rp = PackedUpper(att(r_h), m * p)
+        bmat = att(b_h)
         ymat, xmat = att(y_h), att(x_h)
         red = att(red_h)
         _maybe_crash(rank, "attach")
         my_cols = layout.blocks_of(rank, p)
+        # Column indices of R this PE reads in the forward sweep: those
+        # of my_cols[q:] are my_idx[q * m:].
+        my_idx = (np.asarray(my_cols, dtype=np.intp)[:, None] * m
+                  + np.arange(m)).ravel()
         phases = _Phases()
         bcast_words = reduce_words = 0
         t_start = time.perf_counter()
@@ -669,7 +680,7 @@ def _solve_worker(rank, nproc, tname, r_h, b_h, y_h, x_h, red_h,
             return slice(i * m, (i + 1) * m)
 
         def diag(i):
-            return rmat[rows(i), rows(i)]
+            return rp.block_row(i * m, m, np.arange(i * m, (i + 1) * m))
 
         # ---------------- forward sweep: Rᵀ y = b ---------------------
         acc = np.zeros((p, m, k))
@@ -683,11 +694,10 @@ def _solve_worker(rank, nproc, tname, r_h, b_h, y_h, x_h, red_h,
             phases.start()
             yi = ymat[rows(i)].copy()
             bcast_words += m * k
-            after = [j for j in my_cols if j > i]
+            q = bisect.bisect_right(my_cols, i)
+            after = my_cols[q:]
             if after:
-                cols = np.concatenate(
-                    [np.arange(j * m, (j + 1) * m) for j in after])
-                upd = rmat[rows(i), :][:, cols].T @ yi
+                upd = rp.block_row(i * m, m, my_idx[q * m:]).T @ yi
                 acc[after] += upd.reshape(len(after), m, k)
             phases.stop("application")
 
@@ -710,7 +720,7 @@ def _solve_worker(rank, nproc, tname, r_h, b_h, y_h, x_h, red_h,
             bcast_words += m * k
             if i in my_cols and i > 0:
                 xi = xmat[rows(i)].copy()
-                upd = rmat[:i * m, rows(i)] @ xi
+                upd = rp.block_column(i * m, m) @ xi
                 pending[:i] += upd.reshape(i, m, k)
             phases.stop("application")
 
@@ -730,9 +740,13 @@ def _solve_worker(rank, nproc, tname, r_h, b_h, y_h, x_h, red_h,
 # ----------------------------------------------------------------------
 @dataclass
 class MPRun:
-    """Result of one real multiprocess distributed factorization."""
+    """Result of one real multiprocess distributed factorization.
 
-    r: np.ndarray | None
+    ``packed`` is the gathered factor in packed storage (``None`` when
+    not collected); :attr:`r` is a dense copy for callers that want one.
+    """
+
+    packed: PackedUpper | None
     nproc: int
     layout: object
     block_size: int
@@ -746,6 +760,11 @@ class MPRun:
     schedule: str = "bulk"
     #: Transport the segments ran over.
     transport: str = "shared_memory"
+
+    @property
+    def r(self) -> np.ndarray | None:
+        """Dense read-only ``R``, unpacked on first access (or ``None``)."""
+        return None if self.packed is None else self.packed.dense
 
     @property
     def time(self) -> float:
@@ -1012,7 +1031,7 @@ def mp_factorization(t: SymmetricBlockToeplitz,
             gen_arr, gen_h = sess.ndarray(g.gen.shape)
             r_h = None
             if collect:
-                _r_arr, r_h = sess.ndarray((n, n))
+                r_seg, r_h = sess.ndarray((packed_size(n),))
             if not lookahead:
                 barrier = sess.barrier(nproc)
             queue = sess.queue()
@@ -1044,10 +1063,8 @@ def mp_factorization(t: SymmetricBlockToeplitz,
         payloads, wall = _run_workers(ctx, worker, nproc, args, queue,
                                       barrier)
 
-        r = None
-        if collect:
-            r = np.array(_r_arr)
-        run = MPRun(r=r, nproc=nproc, layout=layout, block_size=m,
+        packed = PackedUpper(np.array(r_seg), n) if collect else None
+        run = MPRun(packed=packed, nproc=nproc, layout=layout, block_size=m,
                     num_blocks=p, representation=representation,
                     wall_seconds=wall,
                     start_method=ctx.get_start_method(),
@@ -1079,15 +1096,17 @@ def _publish_factor_obs(run: MPRun) -> None:
           kind="broadcast")
 
 
-def mp_triangular_solve(r: np.ndarray, layout, b: np.ndarray, *,
-                        block_size: int,
+def mp_triangular_solve(r: PackedUpper | np.ndarray, layout,
+                        b: np.ndarray, *, block_size: int,
                         transport: str = "shared_memory"
                         ) -> MPSolveRun:
     """Solve ``RᵀR x = b`` with the factor column-distributed over
     real worker processes.
 
-    ``r`` is the gathered upper-triangular factor (each PE works only
-    on the columns the Versions-1/2 ``layout`` assigns it); ``b`` may be
+    ``r`` is the gathered upper-triangular factor, packed
+    (:class:`~repro.core.packed.PackedUpper`) or dense; the workers
+    share it in packed form, each PE reading only the columns the
+    Versions-1/2 ``layout`` assigns it.  ``b`` may be
     a vector or an ``n × k`` panel — the per-PE sweeps are level-3
     either way.  Returns the solution plus per-PE spans and comm
     counters in exact parity with the simulated
@@ -1100,7 +1119,7 @@ def mp_triangular_solve(r: np.ndarray, layout, b: np.ndarray, *,
     ok, reason = multiprocess_available(transport=transport)
     if not ok:
         raise MultiprocessUnavailableError(reason)
-    n = r.shape[0]
+    n = r.n if isinstance(r, PackedUpper) else r.shape[0]
     m = int(block_size)
     if n % m != 0:
         raise ShapeError(f"factor order {n} not a multiple of m={m}")
@@ -1118,7 +1137,7 @@ def mp_triangular_solve(r: np.ndarray, layout, b: np.ndarray, *,
     ctx = tr.context()
     with tr.session() as sess:
         try:
-            r_arr, r_h = sess.ndarray((n, n))
+            r_seg, r_h = sess.ndarray((packed_size(n),))
             b_arr, b_h = sess.ndarray((n, k))
             _y_arr, y_h = sess.ndarray((n, k))
             x_arr, x_h = sess.ndarray((n, k))
@@ -1128,7 +1147,10 @@ def mp_triangular_solve(r: np.ndarray, layout, b: np.ndarray, *,
         except (OSError, PermissionError, ValueError) as exc:
             raise MultiprocessUnavailableError(
                 f"could not allocate shared resources: {exc}") from exc
-        r_arr[:] = r
+        if isinstance(r, PackedUpper):
+            r_seg[:] = r.data
+        else:
+            PackedUpper(r_seg, n).write_rows(0, np.asarray(r))
         b_arr[:] = panel
 
         args = (transport, r_h, b_h, y_h, x_h, red_h, m, p, k, layout,

@@ -101,10 +101,16 @@ class TransportSession:
     # -- resource creation --------------------------------------------
     def ndarray(self, shape, dtype=np.float64
                 ) -> tuple[np.ndarray, SegmentHandle]:
-        """A zero-initialized shared array + the handle workers attach."""
+        """A fresh shared array + the handle workers attach.
+
+        The array reads as zeros, and it is not written here: a page
+        costs memory only in the processes that touch it, so a segment
+        only workers fill adds nothing to this process's resident set.
+        Every transport's :meth:`Transport._create_segment` guarantees
+        the zeros.
+        """
         arr, handle, raw = self.transport._create_segment(shape, dtype)
         self._segments.append(raw)
-        arr[...] = 0
         return arr, handle
 
     def barrier(self, parties: int):
@@ -165,7 +171,11 @@ class Transport:
         return TransportSession(self)
 
     def _create_segment(self, shape, dtype):
-        """Create a named segment; returns ``(array, handle, raw)``."""
+        """Create a named segment; returns ``(array, handle, raw)``.
+
+        The segment must read as zeros.  A fabric whose fresh segments
+        are not zero must zero-fill them here, before returning.
+        """
         raise NotImplementedError
 
     def attach(self, handle: SegmentHandle) -> Attachment:
@@ -213,6 +223,7 @@ class SharedMemoryTransport(Transport):
         return mp.get_context(method)
 
     def _create_segment(self, shape, dtype):
+        # A new POSIX shared-memory object reads as zeros (ftruncate).
         from multiprocessing import shared_memory
         dtype = np.dtype(dtype)
         nbytes = max(1, int(np.prod(shape)) * dtype.itemsize)

@@ -384,9 +384,10 @@ class TestLogdetGuard:
         t = ar_block_toeplitz(8, 3, seed=3)
         pl = engine.plan(t, nproc=2, use_cache=False)
         fact = factor_distributed(t, pl)
-        fact.r[0, 0] = -fact.r[0, 0]
+        r00 = fact.packed.diagonal()[0]
+        fact.packed.write_block(0, 0, np.array([[-r00]]))
         with pytest.raises(NotPositiveDefiniteError):
             fact.logdet()
-        fact.r[0, 0] = 0.0
+        fact.packed.write_block(0, 0, np.array([[0.0]]))
         with pytest.raises(NotPositiveDefiniteError):
             fact.logdet()

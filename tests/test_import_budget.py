@@ -1,8 +1,10 @@
 """Import budget: a solver process loads only what a solve uses.
 
-The T3D simulator, trace analysis, performance models and ``scipy.fft``
-(which pulls in ``scipy.special``) are re-exported lazily; every public
-name must still resolve, and be listed by ``dir()``, as before.
+The T3D simulator, trace analysis, performance models, the solver tiers
+beside the Schur core (regroup, displacement rank, streaming, GKO,
+Gohberg–Semencul) and ``scipy.fft`` (which pulls in ``scipy.special``)
+are re-exported lazily; every public name must still resolve, and be
+listed by ``dir()``, as before.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ DEFERRED = (
     "repro.blas.perf_model",
     "repro.blas.cray",
     "repro.blas.empirical",
+    "repro.core.regroup",
+    "repro.core.displacement_rank",
+    "repro.core.streaming",
+    "repro.core.gko",
+    "repro.core.gohberg_semencul",
 )
 
 SCRIPT = """
@@ -40,7 +47,8 @@ import numpy, scipy.linalg
 import repro.engine, repro.serve, repro.toeplitz
 loaded = sorted(set(sys.argv[1:]) & set(sys.modules))
 unlisted, unresolved = [], []
-for name in ("repro", "repro.parallel", "repro.obs", "repro.blas"):
+for name in ("repro", "repro.core", "repro.parallel", "repro.obs",
+             "repro.blas"):
     package = importlib.import_module(name)
     listed = dir(package)
     for attr in package.__all__:

@@ -6,12 +6,16 @@ per-PE spans land in the unified trace schema; unavailability degrades
 gracefully to the simulator with a recorded reason.
 """
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import repro.engine as engine
 import repro.obs as obs
 from repro.cli import main as cli_main
+from repro.core.packed import packed_size
 from repro.core.schur_spd import schur_spd_factor
 from repro.errors import (
     DistributionError,
@@ -204,6 +208,55 @@ class TestFallback:
         fres = engine.factor(pl)
         assert fres.factorization.backend == "simulated"
         assert fres.factorization.fell_back
+
+
+def _vm_rss_bytes() -> int:
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) * 1024
+    raise AssertionError("no VmRSS line")
+
+
+@requires_mp
+class TestMemory:
+    """Shared segments cost memory only where written, and the parent
+    holds ``R`` packed from gather to solve."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads VmRSS from /proc")
+    def test_fresh_segment_is_not_touched(self):
+        from repro.parallel.transport import get_transport
+        size = 64 << 20
+        with get_transport("shared_memory").session() as sess:
+            before = _vm_rss_bytes()
+            arr, _ = sess.ndarray((size // 8,))
+            grown = _vm_rss_bytes() - before
+            assert not arr.any()
+        assert grown < 8 << 20, grown / 2**20
+
+    @pytest.mark.parametrize("schedule", ["bulk", "lookahead"])
+    def test_factor_and_solve_allocate_no_dense_square(self, schedule):
+        n = 1024
+        opts = dict(nproc=2, backend="multiprocess", schedule=schedule,
+                    cache="off")
+        warm = ar_block_toeplitz(16, 4, seed=1)
+        engine.solve(warm, np.ones(warm.order), **opts)
+        t = ar_block_toeplitz(n // 4, 4, seed=2)
+        b = np.ones(n)
+        tracemalloc.start()
+        try:
+            res = engine.solve(t, b, **opts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        fact = res.detail
+        assert fact.backend == "multiprocess"
+        assert fact.last_solve_backend == "multiprocess"
+        assert peak < 0.6 * n * n * 8, peak / (n * n * 8)
+        assert fact.packed.data.size == packed_size(n)
+        assert fact.packed._dense is None       # .r never unpacked
+        np.testing.assert_allclose(t.matvec(res.x), b, atol=1e-8)
 
 
 @requires_mp

@@ -1,5 +1,6 @@
 """Tests for the packed (RFP) storage of the Schur factor ``R``."""
 
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.linalg import lapack
 from repro.core import schur_indefinite_factor, schur_spd_factor
 from repro.core.packed import PackedUpper, packed_size
 from repro.errors import ShapeError
+from repro.parallel.transport import get_transport
 from repro.toeplitz import (
     ar_block_toeplitz,
     indefinite_toeplitz,
@@ -64,6 +66,75 @@ class TestLayout:
             PackedUpper(np.zeros(10), 5)
         with pytest.raises(ShapeError):
             PackedUpper(np.zeros(15, dtype=np.int64), 5)
+
+
+def _noisy(r):
+    """``r`` with junk below the diagonal, which writes must drop."""
+    return r + np.tril(np.full(r.shape, 7.0, dtype=r.dtype), -1)
+
+
+def _write_block_columns(handle, n, m, first, step):
+    """Store block columns ``first, first + step, …`` of ``_upper(n)``
+    into a shared packed buffer, one block at a time (fork target)."""
+    att = get_transport("shared_memory").attach(handle)
+    try:
+        r = _noisy(_upper(n, np.dtype(handle.dtype)))
+        p = PackedUpper(att.array, n)
+        for c0 in range(first * m, n, step * m):
+            for r0 in range(0, c0 + m, m):
+                p.write_block(r0, c0, r[r0:r0 + m, c0:c0 + m])
+    finally:
+        att.close()
+
+
+class TestBlockIO:
+    """Block writes and reads against a dense oracle.  With ``n // 2``
+    not a multiple of ``m`` (n = 40, 41, 37 at m = 8 or 3), blocks
+    straddle the RFP split."""
+
+    @pytest.mark.parametrize("n,m", [(40, 8), (41, 8), (37, 3), (64, 8),
+                                     (8, 3), (1, 1)])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_round_trip_on_shared_memory(self, n, m, dtype):
+        r = _upper(n, dtype)
+        with get_transport("shared_memory").session() as sess:
+            buf, _ = sess.ndarray((packed_size(n),), dtype=dtype)
+            p = PackedUpper(buf, n)
+            noisy = _noisy(r)
+            for r0 in range(0, n, m):
+                for c0 in range(0, n, m):
+                    p.write_block(r0, c0, noisy[r0:r0 + m, c0:c0 + m])
+            np.testing.assert_array_equal(buf, _packed(r).data)
+            for r0 in range(0, n, m):
+                h = min(m, n - r0)
+                for cols in (np.arange(n), np.arange(r0, n),
+                             np.arange(r0 + h, n)[::2]):
+                    np.testing.assert_array_equal(
+                        p.block_row(r0, h, cols), r[r0:r0 + h, cols])
+                strip = p.block_column(r0, h)
+                np.testing.assert_array_equal(strip, r[:r0, r0:r0 + h])
+                assert not strip.flags.writeable or not np.shares_memory(
+                    strip, buf)
+
+    @pytest.mark.parametrize("n,m", [(40, 8), (41, 8)])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_forked_writers_match_serial_rows(self, n, m, dtype):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        ctx = multiprocessing.get_context("fork")
+        with get_transport("shared_memory").session() as sess:
+            buf, handle = sess.ndarray((packed_size(n),), dtype=dtype)
+            procs = [ctx.Process(target=_write_block_columns,
+                                 args=(handle, n, m, first, 2))
+                     for first in (0, 1)]
+            for pr in procs:
+                pr.start()
+            for pr in procs:
+                pr.join(timeout=60)
+                assert not pr.is_alive() and pr.exitcode == 0
+            serial = PackedUpper.zeros(n, dtype=dtype)
+            serial.write_rows(0, _noisy(_upper(n, dtype)))
+            assert buf.tobytes() == serial.data.tobytes()
 
 
 class TestSolve:
