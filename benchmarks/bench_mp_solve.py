@@ -1,11 +1,11 @@
 """Distributed data plane: lookahead vs bulk factorization + mp solves.
 
 Two questions about the real multiprocess backend.  First, does the
-Section-7 lookahead schedule beat the bulk-synchronous one?  Bulk pays
-four process barriers per elimination step and rebuilds the reflector on
-every PE; lookahead builds it once on the pivot owner and replaces the
-barriers with write-once flag waits, so its critical path should lose
-the barrier term.  Second, what do the distributed triangular solves
+Section-7 lookahead schedule beat the bulk-synchronous one?  Bulk waits
+at every step for the pivot owner's reflector and then at a process
+barrier; lookahead replaces both with write-once flag waits, so the
+next build overlaps the other PEs' application work and its critical
+path should lose the barrier term.  Second, what do the distributed triangular solves
 cost?  The forward/backward sweeps run one broadcast per block row (and
 one reduce in the backward sweep), m·k words each — we record wall
 seconds and exact word counts for a vector and a k=32 panel.

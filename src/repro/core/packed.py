@@ -25,9 +25,10 @@ wrappers cannot express, so vectors go through ``?tfsm`` too.
 Entry ``R[r, c]`` (``r ≤ c``) sits at ``P[r, c − n1]`` when ``c ≥ n1``
 and at ``P[n1 + 1 + c, r]`` otherwise, so a block of ``R`` on one side
 of column ``n1`` is one slice of ``P``.  The block helpers
-(:meth:`PackedUpper.write_block`, :meth:`~PackedUpper.block_row`,
-:meth:`~PackedUpper.block_column`) use that to let the distributed
-workers gather and read ``R`` in a shared packed buffer.
+(:meth:`PackedUpper.write_block`, :meth:`~PackedUpper.write_columns`,
+:meth:`~PackedUpper.block_row`, :meth:`~PackedUpper.block_column`) use
+that to let the distributed workers write and read ``R`` in a shared
+packed buffer.
 """
 
 from __future__ import annotations
@@ -136,6 +137,18 @@ class PackedUpper:
                else self._u11[r0:r0 + h, c0:c0 + w])
         np.copyto(dst[:, :d], blk[:h, :d], where=_triu_mask(h, d, k))
         dst[:, d:] = blk[:h, d:]
+
+    def write_columns(self, r0: int, cols: np.ndarray,
+                      strip: np.ndarray) -> None:
+        """Store ``R[r0:r0+h, cols] = strip`` for ascending ``cols`` that
+        all lie right of the strip's last row, so every entry is above
+        the diagonal; nothing else in the buffer is written."""
+        h = strip.shape[0]
+        split = int(np.searchsorted(cols, self._n1))  # cols[:split] < n1
+        if split:
+            self._u11[r0:r0 + h, cols[:split]] = strip[:, :split]
+        if split < len(cols):
+            self._p[r0:r0 + h, cols[split:] - self._n1] = strip[:, split:]
 
     def block_row(self, r0: int, h: int, cols: np.ndarray) -> np.ndarray:
         """``R[r0:r0+h, cols]`` as a new array; ``cols`` ascending.

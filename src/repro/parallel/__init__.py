@@ -7,16 +7,18 @@ linear array of PEs in one of three ways (Figure 5):
 * **Version 2** — groups of ``b`` adjacent block columns per PE;
 * **Version 3** — each block column *split* over ``spread`` adjacent PEs.
 
-Two execution backends share those layouts and the same per-step
-structure (shift / broadcast / build / apply / barrier):
+Two execution backends share those layouts and run the same SPMD
+programs (:mod:`~repro.parallel.spmd`, :mod:`~repro.parallel.spmd_solve`;
+shift / build / broadcast / apply / barrier):
 
 * :func:`~repro.parallel.driver.simulate_factorization` runs the real
   numerics through the discrete-event T3D model
   (:class:`~repro.machine.Machine`) and returns the factor plus the
   *virtual* timing report;
 * :func:`~repro.parallel.mp_backend.mp_factorization` runs one OS
-  process per PE over :mod:`multiprocessing.shared_memory` and returns
-  the factor plus *real* wall-clock timings and per-PE spans.
+  process per PE over :mod:`multiprocessing.shared_memory`, interpreting
+  the programs' ops, and returns the factor plus *real* wall-clock
+  timings and per-PE spans.
 
 :func:`~repro.parallel.backends.factor_distributed` dispatches between
 them from a :class:`~repro.engine.SolverPlan` (with graceful fallback

@@ -144,17 +144,23 @@ class DistributedFactorization:
         return self.backend != self.requested_backend
 
     # ------------------------------------------------------------------
+    @property
+    def layout(self):
+        """The data distribution the factor was computed under (``None``
+        without a backend run)."""
+        return getattr(self.run, "layout", None)
+
     def _solve_route(self) -> tuple[str, str]:
         """``(route, reason)`` — which triangular-solve path to take.
 
         The distributed sweeps need whole block columns (Versions 1/2)
-        and a backend run to solve against; anything else degrades to
-        the gathered serial sweep with the reason recorded.
+        and a backend run to solve under; anything else degrades to the
+        gathered serial sweep with the reason recorded.  Both
+        distributed routes solve with this factorization's own ``R``.
         """
         if self.run is None:
             return "serial", "no backend run attached"
-        layout = getattr(self.run, "layout", None)
-        if not isinstance(layout, BlockCyclicLayout):
+        if not isinstance(self.layout, BlockCyclicLayout):
             return "serial", ("Version 3 spread layout "
                               "(solve needs whole block columns)")
         if self.nproc < 2:
@@ -163,10 +169,7 @@ class DistributedFactorization:
             ok, why = multiprocess_available(transport=self.transport)
             if not ok:
                 return "serial", why
-            return "multiprocess", ""
-        if getattr(self.run, "report", None) is not None:
-            return "simulated", ""
-        return "serial", "backend run carries no per-PE results"
+        return self.backend, ""
 
     def _solve_serial(self, b: np.ndarray) -> np.ndarray:
         panel, single = as_panel(b, self.order, dtype=self.packed.dtype)
@@ -190,7 +193,7 @@ class DistributedFactorization:
             if route == "multiprocess":
                 try:
                     srun = mp_triangular_solve(
-                        self.packed, self.run.layout, b,
+                        self.packed, self.layout, b,
                         block_size=self.block_size,
                         transport=self.transport)
                     self.last_solve_backend = "multiprocess"
@@ -204,7 +207,7 @@ class DistributedFactorization:
                     route, reason = "serial", str(exc)
                     sp.set(backend=route)
             if route == "simulated":
-                x, rep = simulate_triangular_solve(self.run, b)
+                x, rep = simulate_triangular_solve(self, b)
                 self.last_solve_backend = "simulated"
                 self.last_solve_fallback_reason = ""
                 self.last_solve_run = rep

@@ -1,9 +1,13 @@
-"""Driver: run the distributed factorization on the simulated machine.
+"""Driver: run the distributed programs on the simulated machine.
 
-Assembles the generator, scatters it according to the chosen layout,
-executes the SPMD program on a :class:`~repro.machine.Machine`, and
-(optionally) gathers the triangular factor for verification against the
-serial algorithm.
+Builds the generator and executes the SPMD programs of
+:mod:`repro.parallel.spmd`, :mod:`repro.parallel.lookahead` and
+:mod:`repro.parallel.spmd_solve` on a :class:`~repro.machine.Machine`.
+Every rank is handed the same generator and, when the factor is kept,
+the same :class:`~repro.core.packed.PackedUpper`, into which it writes
+its own blocks of ``R`` — the in-process stand-in for the shared packed
+segment the real backend (:mod:`repro.parallel.mp_backend`) hands its
+workers.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from repro.parallel.distributions import (
 )
 from repro.parallel.spmd import block_cyclic_program, spread_program
 from repro.toeplitz.block_toeplitz import SymmetricBlockToeplitz
+from repro.utils.lintools import as_panel, from_panel
 
 __all__ = ["SimulatedRun", "simulate_factorization",
            "simulate_triangular_solve", "simulate_solve"]
@@ -58,36 +63,6 @@ class SimulatedRun:
     def breakdown(self) -> dict[str, float]:
         """Phase breakdown of the critical (slowest) rank."""
         return self.report.category_of_critical_rank()
-
-
-def _scatter_block_cyclic(gen: np.ndarray, m: int, p: int,
-                          layout: BlockCyclicLayout) -> dict[int, np.ndarray]:
-    initial = {}
-    for rank in range(layout.nproc):
-        blocks = layout.blocks_of(rank, p)
-        if blocks:
-            cols = np.concatenate(
-                [np.arange(j * m, (j + 1) * m) for j in blocks])
-            initial[rank] = np.ascontiguousarray(gen[:, cols])
-        else:
-            initial[rank] = np.zeros((gen.shape[0], 0))
-    return initial
-
-
-def _scatter_spread(gen: np.ndarray, m: int, p: int,
-                    layout: SpreadLayout) -> dict[int, np.ndarray]:
-    mc = layout.chunk_width(m)
-    initial = {}
-    for rank in range(layout.nproc):
-        chunks = layout.chunks_of(rank, p)
-        if chunks:
-            cols = np.concatenate(
-                [np.arange(j * m + c * mc, j * m + (c + 1) * mc)
-                 for (j, c) in chunks])
-            initial[rank] = np.ascontiguousarray(gen[:, cols])
-        else:
-            initial[rank] = np.zeros((gen.shape[0], 0))
-    return initial
 
 
 def simulate_factorization(t: SymmetricBlockToeplitz,
@@ -158,24 +133,14 @@ def simulate_factorization(t: SymmetricBlockToeplitz,
     m, p = g.block_size, g.num_blocks
     if p < 2:
         raise ShapeError("need at least 2 block columns to factor")
-    machine = Machine(nproc, network=network,
-                      topology=topology or Torus3D(nproc), trace=trace)
     if program not in ("bulk", "lookahead"):
         raise DistributionError(f"unknown program {program!r}")
     if isinstance(layout, BlockCyclicLayout):
-        initial = _scatter_block_cyclic(g.gen, m, p, layout)
         if program == "lookahead":
             from repro.parallel.lookahead import \
-                block_cyclic_lookahead_program
-            report = machine.run(
-                block_cyclic_lookahead_program, layout=layout, m=m, p=p,
-                w=g.w, initial=initial, representation=representation,
-                node_model=node_model, collect=collect)
+                block_cyclic_lookahead_program as prog
         else:
-            report = machine.run(
-                block_cyclic_program, layout=layout, m=m, p=p, w=g.w,
-                initial=initial, representation=representation,
-                node_model=node_model, collect=collect)
+            prog = block_cyclic_program
     elif isinstance(layout, SpreadLayout):
         if program == "lookahead":
             raise DistributionError(
@@ -184,52 +149,47 @@ def simulate_factorization(t: SymmetricBlockToeplitz,
             raise DistributionError(
                 "the spread (Version 3) program supports the SPD "
                 "signature only")
-        initial = _scatter_spread(g.gen, m, p, layout)
-        report = machine.run(
-            spread_program, layout=layout, m=m, p=p, w=g.w,
-            initial=initial, representation=representation,
-            node_model=node_model, collect=collect)
+        layout.chunk_width(m)         # validates m % spread == 0
+        prog = spread_program
     else:
         raise DistributionError(f"unknown layout {layout!r}")
-
-    packed = None
-    if collect:
-        packed = PackedUpper.zeros(m * p)
-        mc = layout.chunk_width(m) if isinstance(layout, SpreadLayout) \
-            else m
-        for res in report.results:
-            if not res:
-                continue
-            for key, blk in res.items():
-                if len(key) == 2:
-                    i, j = key
-                    col0 = j * m
-                else:
-                    i, j, c = key
-                    col0 = j * m + c * mc
-                packed.write_block(i * m, col0, blk)
+    packed = PackedUpper.zeros(m * p) if collect else None
+    machine = Machine(nproc, network=network,
+                      topology=topology or Torus3D(nproc), trace=trace)
+    report = machine.run(prog, layout=layout, m=m, p=p, w=g.w, gen=g.gen,
+                         representation=representation,
+                         node_model=node_model, packed=packed)
     return SimulatedRun(packed=packed, report=report, layout=layout,
                         block_size=m, num_blocks=p,
                         representation=representation)
 
 
-def simulate_triangular_solve(run: SimulatedRun, b: np.ndarray, *,
+def simulate_triangular_solve(run, b: np.ndarray, *,
                               node_model=None,
                               network: T3DNetworkParameters | None = None,
                               topology=None,
                               trace: bool = False
                               ) -> tuple[np.ndarray, MachineReport]:
-    """Solve ``RᵀR x = b`` from an existing simulated factorization run.
+    """Solve ``RᵀR x = b`` with a distributed factor on the simulated
+    machine.
 
-    The factor stays distributed exactly as the run left it: each PE's
-    ``{(i, j): R_ij}`` result dict feeds the triangular-solve program of
-    :mod:`repro.parallel.spmd_solve` directly.  ``b`` may be a vector or
-    an ``n × k`` panel.  Versions 1/2 layouts only (the solve sweeps
+    ``run`` is a :class:`SimulatedRun` or a
+    :class:`~repro.parallel.backends.DistributedFactorization` — anything
+    with ``packed``, ``layout`` and ``block_size``.  Each PE reads its own
+    block columns of ``run.packed`` in the triangular-solve program of
+    :mod:`repro.parallel.spmd_solve`.  ``b`` may be a vector or an
+    ``n × k`` panel.  Versions 1/2 layouts only (the solve sweeps
     assume whole block columns) — this is the routing target of
     :meth:`repro.parallel.backends.DistributedFactorization.solve` for
     the simulated backend.
 
     Returns ``(x, solve_report)`` with ``x`` shaped like ``b``.
+
+    Raises
+    ------
+    DistributionError
+        For a spread layout, or a run that kept no factor
+        (``collect=False``).
     """
     from repro.parallel.spmd_solve import triangular_solve_program
 
@@ -238,27 +198,24 @@ def simulate_triangular_solve(run: SimulatedRun, b: np.ndarray, *,
         raise DistributionError(
             "the distributed solve supports Versions 1/2 "
             "(whole block columns)")
+    if run.packed is None:
+        raise DistributionError(
+            "the run kept no factor to solve with (collect=False)")
     if node_model is None:
         node_model = t3d_node_model()
     if network is None:
         network = T3DNetworkParameters()
     nproc = layout.nproc
-    m, p = run.block_size, run.num_blocks
-    b = np.asarray(b, dtype=np.float64)
-    single = b.ndim == 1
-    r_blocks = {rank: res or {} for rank, res in
-                enumerate(run.report.results)}
+    m = run.block_size
+    panel, single = as_panel(b, run.packed.n)
+    x = np.zeros_like(panel)
     machine = Machine(nproc, network=network,
                       topology=topology or Torus3D(nproc), trace=trace)
     solve_report = machine.run(
-        triangular_solve_program, layout=layout, m=m, p=p,
-        r_blocks=r_blocks, b=b, node_model=node_model)
-    n = m * p
-    x = np.zeros(n) if single else np.zeros((n, b.shape[1]))
-    for res in solve_report.results:
-        for j, xj in res.items():
-            x[j * m:(j + 1) * m] = xj
-    return x, solve_report
+        triangular_solve_program, layout=layout, m=m,
+        p=run.packed.n // m, packed=run.packed, b=panel, x=x,
+        node_model=node_model)
+    return from_panel(x, single), solve_report
 
 
 def simulate_solve(t: SymmetricBlockToeplitz, b: np.ndarray, nproc: int, *,
@@ -271,11 +228,11 @@ def simulate_solve(t: SymmetricBlockToeplitz, b: np.ndarray, nproc: int, *,
                    ) -> tuple[np.ndarray, SimulatedRun, MachineReport]:
     """Factor *and* solve ``T x = b`` on the simulated machine.
 
-    Runs the distributed factorization (keeping the factor distributed,
-    one column-block dict per PE) followed by the distributed triangular
-    solves of :mod:`repro.parallel.spmd_solve`.  ``b`` may be a vector
-    or an ``n × k`` panel.  Versions 1/2 layouts only (the solve sweeps
-    assume whole block columns).
+    Runs the distributed factorization (keeping the factor in packed
+    storage, each PE's block columns written by that PE) followed by the
+    distributed triangular solves of :mod:`repro.parallel.spmd_solve`.
+    ``b`` may be a vector or an ``n × k`` panel.  Versions 1/2 layouts
+    only (the solve sweeps assume whole block columns).
 
     Returns ``(x, factorization_run, solve_report)``.
     """

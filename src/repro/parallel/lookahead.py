@@ -40,26 +40,29 @@ from repro.errors import DistributionError
 from repro.machine.ops import Broadcast, Compute, Put, Recv
 from repro.parallel import costs
 from repro.parallel.distributions import BlockCyclicLayout
+from repro.parallel.spmd import column_index
 
 __all__ = ["block_cyclic_lookahead_program"]
 
 
 def block_cyclic_lookahead_program(ctx, *, layout: BlockCyclicLayout,
                                    m: int, p: int, w: np.ndarray,
-                                   initial: dict[int, np.ndarray],
+                                   gen: np.ndarray,
                                    representation: str = "vy2",
-                                   node_model=None,
-                                   collect: bool = True):
-    """Lookahead rank program (Version 1 layout, NP ≥ 2)."""
+                                   node_model=None, packed=None):
+    """Lookahead rank program (Version 1 layout, NP ≥ 2).
+
+    ``gen`` and ``packed`` as in
+    :func:`~repro.parallel.spmd.block_cyclic_program`.
+    """
     rank, nproc = ctx.rank, ctx.nproc
     if layout.group_size != 1:
         raise DistributionError("lookahead implemented for Version 1")
     if nproc < 2:
         raise DistributionError("lookahead needs at least 2 PEs")
     my_blocks = layout.blocks_of(rank, p)
-    data = np.array(initial[rank]) if my_blocks else np.zeros((2 * m, 0))
+    data = gen[:, column_index([j * m for j in my_blocks], m)]
     pos = {j: idx for idx, j in enumerate(my_blocks)}
-    results: dict[tuple[int, int], np.ndarray] = {}
     u_cache: dict[int, tuple] = {}
     state = {j: 0 for j in my_blocks}
     app_calls = costs.application_calls(m, m,
@@ -94,12 +97,12 @@ def block_cyclic_lookahead_program(ctx, *, layout: BlockCyclicLayout,
                           payload=upper_block(j).copy(), words=m * m,
                           category="shift")
             state[j] = s
-            if collect:
-                results[(s, j)] = upper_block(j).copy()
+            if packed is not None:
+                packed.write_block(s * m, j * m, upper_block(j))
 
-    if collect:
+    if packed is not None:
         for j in my_blocks:
-            results[(0, j)] = upper_block(j).copy()
+            packed.write_block(0, j * m, upper_block(j))
 
     # Initial shift round: block j's upper at step 1 is the initial
     # upper of block j−1; block 0's heads the pivot chain.
@@ -130,8 +133,8 @@ def block_cyclic_lookahead_program(ctx, *, layout: BlockCyclicLayout,
             if negrows.size:
                 up[negrows] *= -1.0
             upper_block(i)[:] = up
-            if collect:
-                results[(i, i)] = up.copy()
+            if packed is not None:
+                packed.write_block(i * m, i * m, up)
             payload = (u_block, negrows)
             yield Compute(build_time, category="blocking")
             if i + 1 < p:
@@ -153,5 +156,3 @@ def block_cyclic_lookahead_program(ctx, *, layout: BlockCyclicLayout,
         else:
             for j in live:
                 yield from advance(j, i)
-
-    return results

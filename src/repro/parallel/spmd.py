@@ -23,13 +23,25 @@ Version 3 replaces step 2–3 with ``s`` sequential partial builds and
 broadcasts (one per chunk owner), trading extra communication for
 intra-block parallelism.
 
-The numerics are real: the programs transform actual generator data, and
-the assembled ``R`` matches the serial factorization to rounding.
-Compute *time* is charged from the node performance model via the
-primitive-call decomposition in :mod:`repro.parallel.costs`.
+The numerics are real: each PE copies its columns out of the generator
+it is handed, transforms them, and writes its blocks of ``R`` straight
+into the :class:`~repro.core.packed.PackedUpper` it is handed, which
+matches the serial factorization to rounding.  Compute *time* is charged
+from the node performance model via the primitive-call decomposition in
+:mod:`repro.parallel.costs`.
+
+The programs are written once and run on two executors: the simulated
+T3D (:class:`~repro.machine.Machine`, through
+:mod:`repro.parallel.driver`) and real worker processes
+(:mod:`repro.parallel.mp_backend`), which interpret the same ops over
+shared memory.  A zero-second ``Compute`` after each ``R`` write
+costs the simulator nothing and lets the real executor time
+the write as its own phase (:data:`GATHER`).
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -40,7 +52,12 @@ from repro.parallel import costs
 from repro.parallel.distributions import BlockCyclicLayout, SpreadLayout
 
 __all__ = ["block_cyclic_program", "spread_program",
-            "build_partial_transform"]
+            "build_partial_transform", "column_index"]
+
+
+#: Ends each write of ``R``: free on the simulator, timed as the
+#: ``gather`` phase on real processes.
+GATHER = Compute(0.0, "gather")
 
 
 def _charge(model, calls, category):
@@ -49,23 +66,67 @@ def _charge(model, calls, category):
     return Compute(model.time_many(calls), category)
 
 
+def column_index(starts, width: int) -> np.ndarray:
+    """The columns of the ``width``-wide slices starting at ``starts``,
+    side by side — a PE's block columns (or chunks) of the generator and
+    of ``R``."""
+    return (np.asarray(starts, dtype=np.intp)[:, None]
+            + np.arange(width)).ravel()
+
+
+def _shift(ctx, step, uppers, pos, live, target, owner, dest, src):
+    """Move the upper halves of the ``live`` blocks to their targets.
+
+    ``uppers`` is the ``(m, nloc, width)`` view of this PE's upper rows;
+    ``pos`` maps a block key to its slot, and the live blocks sit side
+    by side.  Blocks whose target this PE owns move in place; the others
+    travel to ``dest`` as one stacked array in one ``Put`` (``count``
+    still names one message per block), and the matching array from
+    ``src`` lands in one assignment.
+    """
+    tgts = [target(j) for j in live]
+    away = np.array([owner(t) != ctx.rank for t in tgts], dtype=bool)
+    first = pos[live[0]] if live else 0
+    blocks = uppers[:, first:first + len(live)]
+    moves = [([t for t, a in zip(tgts, away) if not a], blocks[:, ~away])]
+    if ctx.nproc > 1:
+        out = blocks[:, away]                   # a copy, as is ~away's
+        yield Put(dest=dest, tag=("shift", step),
+                  payload=([t for t, a in zip(tgts, away) if a], out),
+                  words=out.size, count=out.shape[1], category="shift")
+        moves.append((yield Recv(src=src, tag=("shift", step))))
+    for keys, arr in moves:
+        try:
+            slots = [pos[k] for k in keys]
+        except KeyError as exc:
+            # A malformed layout: surface it rather than corrupt R.
+            raise DistributionError(
+                f"rank {ctx.rank} received shift for foreign block "
+                f"{exc.args[0]}") from None
+        uppers[:, slots] = arr
+
+
 # ----------------------------------------------------------------------
 # Versions 1 & 2: whole block columns
 # ----------------------------------------------------------------------
 
 def block_cyclic_program(ctx, *, layout: BlockCyclicLayout, m: int, p: int,
-                         w: np.ndarray, initial: dict[int, np.ndarray],
+                         w: np.ndarray, gen: np.ndarray,
                          representation: str = "vy2",
-                         node_model=None, collect: bool = True):
-    """Rank program for Versions 1/2.  ``initial`` maps each rank to its
-    ``(2m, nloc·m)`` slice of the generator (blocks in ascending order)."""
+                         node_model=None, packed=None):
+    """Rank program for Versions 1/2.
+
+    ``gen`` is the whole ``2m × mp`` generator (read only); each PE
+    works on a copy of its own block columns.  When ``packed`` (a
+    :class:`~repro.core.packed.PackedUpper`) is given, each PE writes
+    its blocks of ``R`` into it as they are finished.
+    """
     rank, nproc = ctx.rank, ctx.nproc
     my_blocks = layout.blocks_of(rank, p)
-    data = np.array(initial[rank]) if my_blocks else np.zeros((2 * m, 0))
+    cols = column_index([j * m for j in my_blocks], m)
+    data = gen[:, cols]
+    uppers = data[:m].reshape(m, -1, m)
     pos = {j: idx for idx, j in enumerate(my_blocks)}
-    right = (rank + 1) % nproc
-    left = (rank - 1) % nproc
-    results: dict[tuple[int, int], np.ndarray] = {}
 
     def upper_block(j):
         return data[:m, pos[j] * m:(pos[j] + 1) * m]
@@ -73,37 +134,25 @@ def block_cyclic_program(ctx, *, layout: BlockCyclicLayout, m: int, p: int,
     def lower_block(j):
         return data[m:, pos[j] * m:(pos[j] + 1) * m]
 
+    def write_row(i):
+        # The pivot block is cut at the diagonal; the blocks right of
+        # it go in one strip.
+        after = bisect.bisect_right(my_blocks, i)
+        if after and my_blocks[after - 1] == i:
+            packed.write_block(i * m, i * m, upper_block(i))
+        packed.write_columns(i * m, cols[after * m:], data[:m, after * m:])
+
     # R block row 0 is the initial upper generator row.
-    if collect:
-        for j in my_blocks:
-            results[(0, j)] = upper_block(j).copy()
+    if packed is not None:
+        write_row(0)
+        yield GATHER
 
     for i in range(1, p):
         # ---------------- Phase 3 (shift) -------------------------------
         live = [j for j in my_blocks if i - 1 <= j <= p - 2]
-        outgoing: list[tuple[int, np.ndarray]] = []
-        local_moves: list[tuple[int, np.ndarray]] = []
-        for j in live:
-            blockcopy = upper_block(j).copy()
-            if layout.owner(j + 1) == rank:
-                local_moves.append((j + 1, blockcopy))
-            else:
-                outgoing.append((j + 1, blockcopy))
-        if nproc > 1:
-            words = sum(b.size for _, b in outgoing)
-            yield Put(dest=right, tag=("shift", i), payload=outgoing,
-                      words=words, count=len(outgoing), category="shift")
-            incoming = yield Recv(src=left, tag=("shift", i))
-        else:
-            incoming = []
-        for tgt, blk in list(incoming) + local_moves:
-            if tgt in pos:
-                upper_block(tgt)[:] = blk
-            # else: content for a block this PE does not own — malformed
-            # layout; surface loudly rather than corrupt silently.
-            else:
-                raise DistributionError(
-                    f"rank {rank} received shift for foreign block {tgt}")
+        yield from _shift(ctx, i, uppers, pos, live, lambda j: j + 1,
+                          layout.owner, (rank + 1) % nproc,
+                          (rank - 1) % nproc)
 
         # ---------------- Phase 1 (build) -------------------------------
         pivot_owner = layout.owner(i)
@@ -146,14 +195,11 @@ def block_cyclic_program(ctx, *, layout: BlockCyclicLayout, m: int, p: int,
                               representation=representation),
                           "application")
 
-        if collect:
-            for j in my_blocks:
-                if j >= i:
-                    results[(i, j)] = upper_block(j).copy()
+        if packed is not None:
+            write_row(i)
+            yield GATHER
 
         yield Barrier()
-
-    return results
 
 
 # ----------------------------------------------------------------------
@@ -191,19 +237,22 @@ def build_partial_transform(upper: np.ndarray, lower: np.ndarray,
 
 
 def spread_program(ctx, *, layout: SpreadLayout, m: int, p: int,
-                   w: np.ndarray, initial: dict[int, np.ndarray],
+                   w: np.ndarray, gen: np.ndarray,
                    representation: str = "vy2",
-                   node_model=None, collect: bool = True):
-    """Rank program for Version 3 (each block spread over ``s`` PEs)."""
+                   node_model=None, packed=None):
+    """Rank program for Version 3 (each block spread over ``s`` PEs).
+
+    ``gen`` and ``packed`` as in :func:`block_cyclic_program`, with
+    chunks of ``m / s`` columns in place of whole block columns.
+    """
     rank, nproc = ctx.rank, ctx.nproc
     s = layout.spread
     mc = layout.chunk_width(m)
     my_chunks = layout.chunks_of(rank, p)
-    data = np.array(initial[rank]) if my_chunks else np.zeros((2 * m, 0))
+    cols = column_index([j * m + c * mc for (j, c) in my_chunks], mc)
+    data = gen[:, cols]
+    uppers = data[:m].reshape(m, -1, mc)
     pos = {jc: idx for idx, jc in enumerate(my_chunks)}
-    right = (rank + s) % nproc
-    left = (rank - s) % nproc
-    results: dict[tuple[int, int, int], np.ndarray] = {}
 
     def upper_chunk(j, c):
         idx = pos[(j, c)]
@@ -213,35 +262,27 @@ def spread_program(ctx, *, layout: SpreadLayout, m: int, p: int,
         idx = pos[(j, c)]
         return data[m:, idx * mc:(idx + 1) * mc]
 
-    if collect:
-        for (j, c) in my_chunks:
-            results[(0, j, c)] = upper_chunk(j, c).copy()
+    def write_row(i):
+        # Chunks of the pivot block are cut at the diagonal; the chunks
+        # right of it go in one strip.
+        first = bisect.bisect_left(my_chunks, (i, 0))
+        after = bisect.bisect_left(my_chunks, (i + 1, 0))
+        for j, c in my_chunks[first:after]:
+            packed.write_block(i * m, j * m + c * mc, upper_chunk(j, c))
+        packed.write_columns(i * m, cols[after * mc:],
+                             data[:m, after * mc:])
+
+    if packed is not None:
+        write_row(0)
+        yield GATHER
 
     for i in range(1, p):
         # ---------------- shift -----------------------------------------
         live = [(j, c) for (j, c) in my_chunks if i - 1 <= j <= p - 2]
-        outgoing = []
-        local_moves = []
-        for (j, c) in live:
-            blockcopy = upper_chunk(j, c).copy()
-            tgt = (j + 1, c)
-            if layout.owner(*tgt) == rank:
-                local_moves.append((tgt, blockcopy))
-            else:
-                outgoing.append((tgt, blockcopy))
-        if nproc > 1:
-            words = sum(b.size for _, b in outgoing)
-            yield Put(dest=right, tag=("shift", i), payload=outgoing,
-                      words=words, count=len(outgoing), category="shift")
-            incoming = yield Recv(src=left, tag=("shift", i))
-        else:
-            incoming = []
-        for tgt, blk in list(incoming) + local_moves:
-            if tgt in pos:
-                upper_chunk(*tgt)[:] = blk
-            else:
-                raise DistributionError(
-                    f"rank {rank} received shift for foreign chunk {tgt}")
+        yield from _shift(ctx, i, uppers, pos, live,
+                          lambda jc: (jc[0] + 1, jc[1]),
+                          lambda jc: layout.owner(*jc),
+                          (rank + s) % nproc, (rank - s) % nproc)
 
         # ------------- s sequential partial builds + broadcasts ---------
         for c in range(s):
@@ -278,11 +319,8 @@ def spread_program(ctx, *, layout: SpreadLayout, m: int, p: int,
                                   representation=representation, k=mc),
                               "application")
 
-        if collect:
-            for (j, c) in my_chunks:
-                if j >= i:
-                    results[(i, j, c)] = upper_chunk(j, c).copy()
+        if packed is not None:
+            write_row(i)
+            yield GATHER
 
         yield Barrier()
-
-    return results

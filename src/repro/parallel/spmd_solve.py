@@ -1,32 +1,39 @@
 """Distributed triangular solves with the column-distributed factor.
 
-After the distributed factorization, PE ``r`` holds the column blocks
-``R[i, j]`` for its local columns ``j`` (Versions 1/2 layout).  Solving
-``T x = RᵀR x = b`` proceeds in two block-substitution sweeps:
+After the distributed factorization, PE ``r`` owns the block columns
+``R[:, j]`` of its local columns ``j`` (Versions 1/2 layout); ``R`` itself
+sits in packed storage (:class:`~repro.core.packed.PackedUpper`), and
+each PE reads only its own columns of it.  Solving ``T x = RᵀR x = b``
+proceeds in two block-substitution sweeps:
 
 * **forward** (``Rᵀ y = b``): block column ``I`` is wholly owned, so its
   owner applies the accumulated couplings, solves the ``m × m``
   triangular system, and broadcasts ``y_I``; every PE folds the new
-  ``y_I`` into the pending sums of its local later columns.
+  ``y_I`` into the pending sums of its local later columns with one
+  GEMM over its strip of block row ``I``.
 * **backward** (``R x = y``): the coupling ``R[i, j] x_j`` lives with the
-  owner of column ``j``, so the row sums are *reduced* to the diagonal
-  owner (one sum-reduction + one broadcast per block row).
+  owner of column ``j``, so after each ``x_J`` arrives its owner folds
+  it into the pending row sums with one GEMM over the column strip above
+  ``R[J, J]``, and the row sums are *reduced* to the diagonal owner (one
+  sum-reduction + one broadcast per block row).
 
 One small collective pair per block row — the classic limited-
 parallelism distributed triangular solve; its simulated cost is exactly
 why the paper (and practice) amortize one factorization over many
-right-hand sides.  ``b`` may be a vector or an ``n × k`` panel: the
-panel case moves ``m·k`` words per collective and turns every per-PE
-update into a level-3 product, which is the distributed face of the
-batched-RHS story.  The numerics are real and checked against the
-serial solution.
+right-hand sides.  ``b`` is an ``n × k`` panel (a vector is a panel of
+one column): each collective moves ``m·k`` words and every per-PE update
+is a level-3 product, which is the distributed face of the batched-RHS
+story.  The same program runs on the simulated machine
+(:func:`repro.parallel.driver.simulate_triangular_solve`) and on real
+worker processes (:func:`repro.parallel.mp_backend.mp_triangular_solve`).
 """
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
-from repro.errors import ShapeError
 from repro.machine.ops import Barrier, Broadcast, Compute, Reduce
 from repro.parallel.distributions import BlockCyclicLayout
 from repro.utils.lintools import solve_upper_triangular
@@ -34,86 +41,77 @@ from repro.utils.lintools import solve_upper_triangular
 __all__ = ["triangular_solve_program"]
 
 
-def _charge_flops(node_model, flops: int, length: int):
-    if node_model is None or flops <= 0:
-        return Compute(0.0, category="solve")
-    return Compute(node_model.level2.time(flops, max(length, 1)),
-                   category="solve")
+def _charge_flops(node_model, flops: int, length: int, category: str):
+    if node_model is None:
+        return Compute(0.0, category)
+    return Compute(node_model.level2.time(flops, max(length, 1)), category)
 
 
 def triangular_solve_program(ctx, *, layout: BlockCyclicLayout, m: int,
-                             p: int, r_blocks: dict, b: np.ndarray,
+                             p: int, packed, b: np.ndarray, x: np.ndarray,
                              node_model=None):
     """SPMD program solving ``RᵀR x = b`` from distributed ``R`` columns.
 
-    ``r_blocks`` maps each rank to its ``{(i, j): m×m}`` dict from the
-    factorization run; ``b`` — a vector or an ``n × k`` panel — is
-    replicated (it is only ``O(n·k)``).  Returns each rank's
-    ``{j: x_j}`` solution pieces, shaped like the input (``(m,)`` per
-    block for a vector, ``(m, k)`` for a panel).
+    ``packed`` holds ``R`` (each PE reads only its own block columns);
+    ``b`` is the replicated ``n × k`` right-hand-side panel (it is only
+    ``O(n·k)``), and the owner of each block row writes its rows of the
+    solution into the ``n × k`` array ``x``.  The diagonal solves are
+    charged as ``solve``, the per-PE updates as ``application``.
     """
-    rank, _nproc = ctx.rank, ctx.nproc
-    mine = r_blocks[rank]
+    rank = ctx.rank
     my_cols = layout.blocks_of(rank, p)
-    n = m * p
-    b = np.asarray(b, dtype=np.float64)
-    single = b.ndim == 1
-    bp = b[:, None] if single else b
-    if bp.shape[0] != n:
-        raise ShapeError(f"b has {bp.shape[0]} rows, expected {n}")
-    k = bp.shape[1]
+    # Columns of R this PE reads in the forward sweep: those of
+    # my_cols[q:] are my_idx[q * m:].
+    my_idx = (np.asarray(my_cols, dtype=np.intp)[:, None] * m
+              + np.arange(m)).ravel()
+    k = b.shape[1]
     words = m * k
 
+    def rows(i):
+        return slice(i * m, (i + 1) * m)
+
+    def diag(i):
+        return packed.block_row(i * m, m, np.arange(i * m, (i + 1) * m))
+
     # ---------------- forward sweep: Rᵀ y = b ----------------------------
-    acc = {j: np.zeros((m, k)) for j in my_cols}
-    y = np.zeros((n, k))
+    acc = np.zeros((p, m, k))
+    y = np.zeros((m * p, k))
     for i in range(p):
         owner = layout.owner(i)
         payload = None
         if rank == owner:
-            rii = mine[(i, i)]
             payload = solve_upper_triangular(
-                rii, bp[i * m:(i + 1) * m] - acc[i], trans=True)
-            yield _charge_flops(node_model, m * m * k, m)
-        yi = yield Broadcast(root=owner, payload=payload, words=words,
-                             category="broadcast")
-        y[i * m:(i + 1) * m] = yi
-        flops = 0
-        for j in my_cols:
-            if j > i:
-                acc[j] += mine[(i, j)].T @ yi
-                flops += 2 * m * m * k
-        if flops:
-            yield _charge_flops(node_model, flops, m)
+                diag(i), b[rows(i)] - acc[i], trans=True)
+            yield _charge_flops(node_model, m * m * k, m, "solve")
+        y[rows(i)] = yield Broadcast(root=owner, payload=payload,
+                                     words=words, category="broadcast")
+        q = bisect.bisect_right(my_cols, i)
+        after = my_cols[q:]
+        if after:
+            upd = packed.block_row(i * m, m, my_idx[q * m:]).T @ y[rows(i)]
+            acc[after] += upd.reshape(len(after), m, k)
+            yield _charge_flops(node_model, 2 * m * m * k * len(after), m,
+                                "application")
     yield Barrier()
 
     # ---------------- backward sweep: R x = y ----------------------------
     # pending[i] (local) accumulates Σ_{j>i, j local} R[i, j] x_j; the
     # full row sum is reduced to owner(i) just before x_i is solved.
-    pending = {i: np.zeros((m, k)) for i in range(p)}
-    x = np.zeros((n, k))
+    pending = np.zeros((p, m, k))
+    mine = set(my_cols)
     for i in range(p - 1, -1, -1):
-        total = yield Reduce(root=layout.owner(i), payload=pending[i],
-                             words=words)
+        owner = layout.owner(i)
+        total = yield Reduce(root=owner, payload=pending[i], words=words)
         payload = None
-        if rank == layout.owner(i):
-            rii = mine[(i, i)]
-            payload = solve_upper_triangular(
-                rii, y[i * m:(i + 1) * m] - total)
-            yield _charge_flops(node_model, m * m * k, m)
-        xi = yield Broadcast(root=layout.owner(i), payload=payload,
-                             words=words, category="broadcast")
-        x[i * m:(i + 1) * m] = xi
-        if i in my_cols:
-            flops = 0
-            for big_i in range(i):
-                pending[big_i] += mine[(big_i, i)] @ xi
-                flops += 2 * m * m * k
-            if flops:
-                yield _charge_flops(node_model, flops, m)
+        if rank == owner:
+            payload = solve_upper_triangular(diag(i), y[rows(i)] - total)
+            x[rows(i)] = payload
+            yield _charge_flops(node_model, m * m * k, m, "solve")
+        xi = yield Broadcast(root=owner, payload=payload, words=words,
+                             category="broadcast")
+        if i in mine and i > 0:
+            upd = packed.block_column(i * m, m) @ xi
+            pending[:i] += upd.reshape(i, m, k)
+            yield _charge_flops(node_model, 2 * m * m * k * i, m,
+                                "application")
     yield Barrier()
-    out = {}
-    for j in my_cols:
-        piece = x[j * m:(j + 1) * m].copy()
-        out[j] = piece[:, 0] if single else piece
-    return out

@@ -108,6 +108,27 @@ class TestSimulatedSolve:
         with pytest.raises(DistributionError):
             simulate_triangular_solve(run, np.ones(t.order))
 
+    def test_run_without_factor_raises_typed_error(self):
+        t = ar_block_toeplitz(8, 3, seed=2)
+        run = simulate_factorization(t, 2, collect=False)
+        with pytest.raises(DistributionError, match="collect=False"):
+            simulate_triangular_solve(run, np.ones(t.order))
+
+    def test_factorization_solves_with_its_own_factor(self):
+        """The simulated sweeps read the factorization's own ``R``, even
+        when its run kept none."""
+        t = ar_block_toeplitz(8, 3, seed=2)
+        serial = schur_spd_factor(t)
+        fact = DistributedFactorization(
+            r=serial.r.copy(), block_size=3, num_blocks=8,
+            representation="vy2", nproc=2, backend="simulated",
+            requested_backend="simulated",
+            run=simulate_factorization(t, 2, collect=False))
+        rhs = _rhs(t, 4)
+        np.testing.assert_allclose(fact.solve(rhs), serial.solve(rhs),
+                                   atol=1e-10)
+        assert fact.last_solve_backend == "simulated"
+
 
 @requires_mp
 class TestMultiprocessSolve:
@@ -132,19 +153,22 @@ class TestMultiprocessSolve:
 
     @pytest.mark.parametrize("k", [1, 32])
     def test_comm_parity_with_simulator(self, k):
-        """Real solve counters equal the simulated program's, per rank."""
+        """Real solve counters equal the simulated program's, per rank,
+        on Version 1 and Version 2 layouts."""
         t = ar_block_toeplitz(10, 3, seed=5)
         serial = schur_spd_factor(t)
         rhs = _rhs(t, k)
-        sim_run = simulate_factorization(t, 3)
-        _x, sim_rep = simulate_triangular_solve(sim_run, rhs)
-        real = mp_triangular_solve(serial.r, make_layout(3, b=1), rhs,
-                                   block_size=3)
-        assert real.broadcast_words_by_rank() == \
-            sim_rep.broadcast_words_by_rank()
-        assert real.reduce_words_by_rank() == \
-            sim_rep.reduce_words_by_rank()
-        np.testing.assert_allclose(real.x, serial.solve(rhs), atol=1e-10)
+        for nproc, b in ((3, 1), (2, 2)):
+            sim_run = simulate_factorization(t, nproc, b=b)
+            _x, sim_rep = simulate_triangular_solve(sim_run, rhs)
+            real = mp_triangular_solve(serial.r, make_layout(nproc, b=b),
+                                       rhs, block_size=3)
+            assert real.broadcast_words_by_rank() == \
+                sim_rep.broadcast_words_by_rank()
+            assert real.reduce_words_by_rank() == \
+                sim_rep.reduce_words_by_rank()
+            np.testing.assert_allclose(real.x, serial.solve(rhs),
+                                       atol=1e-10)
 
     def test_solve_trace_records(self):
         t = ar_block_toeplitz(8, 3, seed=6)
@@ -333,7 +357,7 @@ for schedule in ("bulk", "lookahead"):
 print("OK")
 """
 
-    @pytest.mark.parametrize("stage", ["spawn", "attach"])
+    @pytest.mark.parametrize("stage", ["spawn", "attach", "step"])
     def test_no_segment_leak_on_worker_crash(self, stage, tmp_path):
         """Child dies at ``stage``; parent must raise and clean up
         every segment with no resource-tracker warnings."""
@@ -355,16 +379,15 @@ print("OK")
                          if f.startswith(SEGMENT_PREFIX)]
             assert leftovers == []
 
-    def test_crash_during_solve_cleans_up(self):
+    def test_crash_during_solve_cleans_up(self, monkeypatch):
         t = ar_block_toeplitz(8, 3, seed=2)
         serial = schur_spd_factor(t)
-        os.environ["REPRO_MP_CRASH"] = "0:attach"
-        try:
+        for stage in ("attach", "step"):
+            monkeypatch.setenv("REPRO_MP_CRASH", f"0:{stage}")
             with pytest.raises(DistributionError):
                 mp_triangular_solve(serial.r, make_layout(2, b=1),
                                     np.ones(t.order), block_size=3)
-        finally:
-            del os.environ["REPRO_MP_CRASH"]
+        monkeypatch.delenv("REPRO_MP_CRASH")
         if os.path.isdir("/dev/shm"):
             leftovers = [f for f in os.listdir("/dev/shm")
                          if f.startswith(SEGMENT_PREFIX)]

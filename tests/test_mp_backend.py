@@ -114,6 +114,8 @@ class TestCommVolume:
         real = mp_factorization(t, nproc, b=b)
         sim = simulate_factorization(t, nproc, b=b)
         assert real.words_by_rank() == sim.report.words_by_rank()
+        assert real.broadcast_words_by_rank() == \
+            sim.report.broadcast_words_by_rank()
 
     def test_broadcast_words_counted(self):
         t = ar_block_toeplitz(6, 3, seed=2)
@@ -124,6 +126,66 @@ class TestCommVolume:
         expected = per_step * (run.num_blocks - 1)
         assert all(v == expected
                    for v in run.broadcast_words_by_rank().values())
+
+
+@requires_mp
+class TestSpawnStartMethod:
+    """Workers started with ``spawn`` (no inherited state) import their
+    programs by name and give the serial answers."""
+
+    @pytest.fixture
+    def spawn(self, monkeypatch):
+        import multiprocessing
+        from repro.parallel.transport import get_transport
+        monkeypatch.setattr(get_transport("shared_memory"), "context",
+                            lambda: multiprocessing.get_context("spawn"))
+
+    @pytest.mark.parametrize("b", [1, 0.5])
+    def test_bulk_factor(self, spawn, b):
+        t = ar_block_toeplitz(8, 4, seed=4)
+        run = mp_factorization(t, 2, b=b)
+        assert run.start_method == "spawn"
+        np.testing.assert_allclose(run.r, schur_spd_factor(t).r,
+                                   atol=1e-10)
+
+    def test_panel_solve(self, spawn):
+        from repro.parallel import make_layout, mp_triangular_solve
+        t = ar_block_toeplitz(8, 3, seed=5)
+        serial = schur_spd_factor(t)
+        rhs = np.random.default_rng(3).standard_normal((t.order, 3))
+        run = mp_triangular_solve(serial.r, make_layout(2, b=1), rhs,
+                                  block_size=3)
+        assert run.start_method == "spawn"
+        np.testing.assert_allclose(run.x, serial.solve(rhs), atol=1e-10)
+
+
+@requires_mp
+class TestSmallRings:
+    """Rings of 1 KiB, about one record: records wrap around the ring
+    end, and writers wait for room (a dozen times per run here) while
+    draining their own inbound rings.  Four workers on a host with fewer
+    cores interleave all of it."""
+
+    def test_wrapping_rings_give_serial_answers(self, monkeypatch):
+        from repro.parallel import make_layout, mp_backend, mp_triangular_solve
+        monkeypatch.setattr(mp_backend, "_ring_bytes", lambda words, m: 1024)
+        t = ar_block_toeplitz(10, 3, seed=6)
+        serial = schur_spd_factor(t)
+        for b in (1, 2):
+            run = mp_factorization(t, 4, b=b)
+            np.testing.assert_allclose(run.r, serial.r, atol=1e-10)
+        rhs = np.random.default_rng(4).standard_normal((t.order, 32))
+        for b in (1, 2):
+            srun = mp_triangular_solve(serial.packed, make_layout(4, b=b),
+                                       rhs, block_size=3)
+            np.testing.assert_allclose(srun.x, serial.solve(rhs),
+                                       atol=1e-10)
+
+    def test_message_larger_than_ring_raises(self, monkeypatch):
+        from repro.parallel import mp_backend
+        monkeypatch.setattr(mp_backend, "_ring_bytes", lambda words, m: 64)
+        with pytest.raises(DistributionError, match="exceeds"):
+            mp_factorization(ar_block_toeplitz(6, 3, seed=1), 2)
 
 
 @requires_mp

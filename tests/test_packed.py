@@ -116,6 +116,25 @@ class TestBlockIO:
                 assert not strip.flags.writeable or not np.shares_memory(
                     strip, buf)
 
+    @pytest.mark.parametrize("n,m", [(40, 8), (41, 8), (37, 3), (64, 8)])
+    def test_write_columns_matches_dense(self, n, m):
+        """Row strips right of the diagonal block, written through
+        ``write_columns``: every block column, or every other one."""
+        r = _upper(n, np.float64)
+        for every in (1, 2):
+            p = PackedUpper.zeros(n)
+            want = np.zeros_like(r)
+            for r0 in range(0, n, m):
+                h = min(m, n - r0)
+                p.write_block(r0, r0, r[r0:r0 + h, r0:r0 + h])
+                want[r0:r0 + h, r0:r0 + h] = r[r0:r0 + h, r0:r0 + h]
+                cols = np.concatenate([np.arange(c, min(c + m, n))
+                                       for c in range(r0 + h, n, every * m)]
+                                      + [np.arange(0)]).astype(np.intp)
+                p.write_columns(r0, cols, r[r0:r0 + h, cols])
+                want[r0:r0 + h, cols] = r[r0:r0 + h, cols]
+            np.testing.assert_array_equal(p.dense, want)
+
     @pytest.mark.parametrize("n,m", [(40, 8), (41, 8)])
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_forked_writers_match_serial_rows(self, n, m, dtype):
