@@ -48,7 +48,7 @@ def run_cache_bench(n, ms, nrhs):
     pl = engine.plan(t, assume="spd", block_size=ms)
 
     off = FactorizationCache(max_entries=1)
-    t_off = _wall(lambda: _solve_many(pl.with_(use_cache=False), rhs,
+    t_off = _wall(lambda: _solve_many(pl.with_(cache="off"), rhs,
                                       None))
     t_on = _wall(lambda: (off.clear(), off.reset_stats(),
                           _solve_many(pl, rhs, off)))

@@ -28,7 +28,7 @@ def verify_backends(t, nproc, b_values):
     mp_ok, mp_reason = multiprocess_available()
     for b in b_values:
         pl = engine.plan(t, nproc=nproc, distribution_b=b,
-                         use_cache=False)
+                         cache="off")
         sim = simulate_factorization(t, plan=pl)
         err = np.max(np.abs(sim.r - serial))
         line = (f"b={b}: |R_sim − R_serial| = {err:.2e} "

@@ -76,10 +76,6 @@ def _dense_chol_factor(op, pl):
     return _DenseCholeskyFactor(op)
 
 
-def _dense_chol_solve(op, b, pl, fact, **_kwargs):
-    return fact.solve(b), fact
-
-
 def _pcg_factor(op, pl):
     # The Section 8 preconditioner: perturbed RᵀDR of the same matrix.
     from repro.core.schur_indefinite import schur_indefinite_factor
@@ -100,7 +96,11 @@ def _pcg_solve(op, b, pl, fact, *, tol: float = 1e-12,
 
 
 def _register_engine_algorithms() -> None:
-    from repro.engine.engine import _REGISTRY, register_algorithm
+    from repro.engine.engine import (
+        _REGISTRY,
+        _factored_solve,
+        register_algorithm,
+    )
     if "levinson" in _REGISTRY:  # already registered (re-import)
         return
     register_algorithm(
@@ -111,7 +111,7 @@ def _register_engine_algorithms() -> None:
         description="CG preconditioned by the perturbed RᵀDR "
                     "factorization (Section 8 comparator)")
     register_algorithm(
-        "dense-chol", factor=_dense_chol_factor, solve=_dense_chol_solve,
+        "dense-chol", factor=_dense_chol_factor, solve=_factored_solve,
         description="dense LAPACK Cholesky, the O(n³) reference")
 
 

@@ -12,14 +12,13 @@ Commands
     ``--backend multiprocess`` on real worker processes,
     ``--backend simulated`` (default) on the T3D model; ``--dist-b``
     picks the Version 1/2/3 data distribution, ``--schedule lookahead``
-    the Section-7 pipelined schedule, ``--transport`` the fabric.
+    the Section-7 pipelined schedule.
 ``solve <matrix> [<rhs>] [-o x.npy]``
     Solve ``T x = b`` with the automatic SPD → indefinite+refinement
     pipeline (or ``--method gko`` / ``levinson``); accepts the same
-    ``--nproc``/``--backend``/``--dist-b``/``--schedule``/
-    ``--transport`` distribution flags — distributed plans keep the
-    triangular solves distributed too (the report names the solve
-    backend).  The RHS
+    ``--nproc``/``--backend``/``--dist-b``/``--schedule`` distribution
+    flags — distributed plans keep the triangular solves distributed
+    too (the report names the solve backend).  The RHS
     may be a 2-D ``n × k`` panel (batched level-3 solve path), or be
     synthesized with ``--nrhs k``; ``--profile`` then reports the
     per-panel solve throughput.  ``--precision fp32|mixed`` (also on
@@ -187,11 +186,9 @@ def _cmd_factor(args) -> int:
     _want_profile(args)
     t = _load_matrix(args.matrix, args.block_size)
     pl = engine.plan(t, representation=args.representation,
-                     use_cache=not args.no_cache, cache=args.cache,
-                     nproc=args.nproc,
+                     cache=args.cache, nproc=args.nproc,
                      distribution_b=args.dist_b, backend=args.backend,
-                     schedule=args.schedule, transport=args.transport,
-                     precision=args.precision)
+                     schedule=args.schedule, precision=args.precision)
     if args.explain:
         print(pl.describe())
     fres = engine.factor(pl)
@@ -269,11 +266,9 @@ def _cmd_solve(args) -> int:
     b = _solve_rhs(args, t.order)
     pl = engine.plan(
         t, algorithm=None if args.method == "auto" else args.method,
-        use_cache=not args.no_cache, cache=args.cache,
-        nproc=args.nproc,
+        cache=args.cache, nproc=args.nproc,
         distribution_b=args.dist_b, backend=args.backend,
-        schedule=args.schedule, transport=args.transport,
-        precision=args.precision)
+        schedule=args.schedule, precision=args.precision)
     if args.explain:
         print(pl.describe())
     res = engine.execute(pl, b)
@@ -644,14 +639,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_info)
 
     def add_engine_args(p):
-        p.add_argument("--no-cache", action="store_true",
-                       help="bypass the factorization cache")
-        p.add_argument("--cache", default=None,
+        p.add_argument("--cache", default="memory",
                        choices=["memory", "persistent", "off"],
-                       help="cache tiering: in-process LRU only, LRU "
-                            "backed by the on-disk store (REPRO_CACHE_DIR"
-                            " or ~/.cache/repro), or none; overrides "
-                            "--no-cache when given")
+                       help="cache tiering: in-process LRU only (the "
+                            "default), LRU backed by the on-disk store "
+                            "(REPRO_CACHE_DIR or ~/.cache/repro), or "
+                            "none")
         p.add_argument("--explain", action="store_true",
                        help="print the solver plan before running it")
         p.add_argument("--profile", action="store_true",
@@ -680,10 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "Section-7 lookahead pipeline (Version 1, "
                             "NP ≥ 2) that overlaps the serial "
                             "generator build with application work")
-        p.add_argument("--transport", default="shared_memory",
-                       help="named transport the multiprocess "
-                            "backend's shared segments run over "
-                            "(default: shared_memory)")
         p.add_argument("--precision", default="fp64",
                        choices=["fp64", "fp32", "mixed"],
                        help="factorization working precision; fp32/"
@@ -864,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["vy1", "vy2", "yty", "unblocked", "dense"])
     p.add_argument("--precision", default="fp64",
                    choices=["fp64", "fp32", "mixed"])
-    p.add_argument("--cache", default=None,
+    p.add_argument("--cache", default="memory",
                    choices=["memory", "persistent", "off"],
                    help="cache tiering for the served plan; "
                         "'persistent' warms from the on-disk store at "

@@ -18,6 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.precision import (
+    precision_of_dtype,
+    validate_precision,
+    working_dtype,
+)
 from repro.errors import BreakdownError, ShapeError
 from repro.toeplitz.block_toeplitz import SymmetricBlockToeplitz
 from repro.toeplitz.matvec import next_fast_len
@@ -80,6 +85,13 @@ class ToeplitzInverse:
         """Storage dtype of the representation (sets application dtype)."""
         return self.x.dtype
 
+    @property
+    def precision(self) -> str:
+        """Storage precision (``"fp32"`` for a float32 ``x``, else
+        ``"fp64"``): an fp32 ``T⁻¹`` applies with single-precision
+        error, so the engine refines over it like any reduced factor."""
+        return precision_of_dtype(self.x.dtype)
+
     def matvec(self, b: np.ndarray) -> np.ndarray:
         """``T⁻¹ B`` in ``O(k n log n)`` for a vector or ``n × k``
         panel — each term is one batched convolution over all columns.
@@ -118,13 +130,13 @@ def toeplitz_inverse(t: SymmetricBlockToeplitz, *,
     ``precision`` controls both the solve for ``x`` (reduced-precision
     factor + fp64 refinement recovery, so ``x`` itself is accurate) and
     the *storage* dtype of the representation — ``"fp32"`` halves the
-    memory and FFT cost of every later application.
+    memory and FFT cost of every later application, which then carries
+    single-precision error (see :attr:`ToeplitzInverse.precision`).
     """
     if not isinstance(t, SymmetricBlockToeplitz) or t.block_size != 1:
         raise ShapeError(
             "Gohberg–Semencul inversion implemented for scalar (m = 1) "
             "symmetric Toeplitz matrices")
-    from repro.core.precision import validate_precision, working_dtype
     from repro.core.solve import solve
     validate_precision(precision)
     e0 = np.zeros(t.order)

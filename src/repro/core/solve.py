@@ -86,16 +86,16 @@ def solve(t, b, *, block_size: int | None = None,
           representation: str = "vy2",
           panel: int | None = None,
           in_place: bool = True,
-          use_cache: bool = True,
           precision: str = "fp64") -> np.ndarray:
     """Solve ``T x = b`` for symmetric block Toeplitz ``T``.
 
     ``assume`` ∈ {"auto", "spd", "indefinite"}: "auto" tries the SPD path
     and falls back to the indefinite algorithm (plus refinement if it
     perturbed) on breakdown.  The full set of factorization options
-    (``panel``, ``in_place``) is forwarded to the plan; ``use_cache``
-    lets repeated solves against the same matrix reuse the
-    factorization.  ``precision`` selects the factorization working
+    (``panel``, ``in_place``) is forwarded to the plan; repeated solves
+    against the same matrix reuse the factorization from the engine's
+    default cache (plan with ``repro.engine.plan(..., cache="off")``
+    to bypass it).  ``precision`` selects the factorization working
     precision ("fp32"/"mixed" factor + fp64 refinement recovery); the
     returned ``x`` is always float64 at fp64 accuracy whenever the
     conditioning allows it.
@@ -108,7 +108,7 @@ def solve(t, b, *, block_size: int | None = None,
     b = np.asarray(b, dtype=np.float64)
     pl = _engine.plan(bt, assume=assume, representation=representation,
                       panel=panel, in_place=in_place,
-                      use_cache=use_cache, precision=precision)
+                      precision=precision)
     return _engine.execute(pl, b).x
 
 

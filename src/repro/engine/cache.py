@@ -252,7 +252,7 @@ _default_lock = threading.Lock()
 
 
 def default_cache() -> FactorizationCache:
-    """The process-wide cache used when a plan has ``use_cache=True``."""
+    """The process-wide cache used unless a plan has ``cache="off"``."""
     return _default_cache
 
 

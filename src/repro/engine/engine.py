@@ -8,10 +8,13 @@ The engine is a small algorithm registry plus two verbs:
   plan's armed fallback algorithm on SPD breakdown, returning an
   :class:`ExecutionResult` that records what actually ran.
 
-Core algorithms (``spd-schur``, ``indefinite+refine``, ``gko``) register
-here; the baselines register themselves from
+Core algorithms (``spd-schur``, ``indefinite+refine``, ``gko``, ``gs``)
+register here; the baselines register themselves from
 :mod:`repro.baselines`, so ``algorithms()`` gives benchmarks one uniform
-iteration surface.
+iteration surface.  A registered ``factor``/``solve`` does only its own
+numerics: the engine wraps every algorithm once with the cache tiers
+(the plan's ``cache`` axis), reduced-precision admission and recovery
+(keyed on the factor's own ``precision``) and the ``solve`` span.
 """
 
 from __future__ import annotations
@@ -234,7 +237,7 @@ def _resolve_cache(pl: SolverPlan,
                    ) -> FactorizationCache | None:
     if cache is not None:
         return cache
-    return default_cache() if pl.use_cache else None
+    return default_cache() if pl.cache != "off" else None
 
 
 def _resolve_store(pl: SolverPlan,
@@ -244,7 +247,7 @@ def _resolve_store(pl: SolverPlan,
     (tests and the serve warm path point at private roots this way)."""
     if store is not None:
         return store
-    if pl.use_cache and pl.cache == "persistent":
+    if pl.cache == "persistent":
         return default_store()
     return None
 
@@ -285,9 +288,9 @@ def _obtain_factorization(algo: Algorithm, pl: SolverPlan,
                 hit = disk_hit = True
                 if c is not None:     # promote for this process
                     c.put(key, fact)
-        # Tier 3: compute, then publish back to both tiers.
+        # Tier 3: compute (and admit), then publish back to both tiers.
         if fact is None:
-            fact = algo.factor(pl.operator, pl)
+            fact = _admitted(algo, pl, algo.factor(pl.operator, pl))
             if c is not None:
                 c.put(key, fact)
             if st is not None:
@@ -311,6 +314,62 @@ def _obtain_factorization(algo: Algorithm, pl: SolverPlan,
             ).inc(1, algorithm=pl.algorithm,
                   cache_hit=str(hit).lower())
     return fact, hit
+
+
+def _admitted(algo: Algorithm, pl: SolverPlan, fact):
+    """Condest-gated admission of a reduced-precision factorization.
+
+    Keyed on the factor's own ``precision``, so only factors that really
+    are reduced get checked.  One is kept only when fp64 refinement over
+    it is expected to converge (``cond · eps_elim ≤ 0.05``,
+    :func:`repro.core.precision.refinement_admissible`); otherwise the
+    operator is refactored at fp64 on the spot, so the solve stage sees
+    an ordinary double factorization.  ``condest`` runs on the operator
+    the factor saw (regrouped to its block size).
+    """
+    precision = getattr(fact, "precision", "fp64")
+    if precision == "fp64":
+        return fact
+    from repro.core.condest import condest
+    from repro.core.precision import refinement_admissible
+    op = pl.operator
+    block_size = getattr(fact, "block_size", op.block_size)
+    seen = op if block_size == op.block_size else op.regroup(block_size)
+    try:
+        cond = condest(seen, fact)
+    except Exception:
+        cond = float("inf")
+    if refinement_admissible(cond, precision):
+        return fact
+    with obs.span("factor.precision_fallback", precision=precision,
+                  cond_estimate=float(cond)):
+        if obs.enabled():
+            obs.default_registry().counter(
+                "repro_engine_precision_fallbacks_total",
+                "Reduced-precision factorizations rejected by the "
+                "condest admission check and redone at fp64"
+            ).inc(1, algorithm=pl.algorithm, precision=precision)
+        return algo.factor(op, pl.with_(precision="fp64"))
+
+
+def _recovering_solve(algo: Algorithm, op, b, pl: SolverPlan, fact,
+                      **solve_kwargs):
+    """The algorithm's solve, with fp64 recovery over a reduced factor.
+
+    An admitted fp32/mixed factor solves through blocked iterative
+    refinement with fp64 residuals; if the loop stalls anyway
+    (admission is an estimate, not a proof), the operator is refactored
+    at fp64 outside the cache and the algorithm's own solve runs on it.
+    """
+    if getattr(fact, "precision", "fp64") == "fp64":
+        return algo.solve(op, b, pl, fact, **solve_kwargs)
+    from repro.core import refinement
+    res = refinement.refine(fact, op, b, **solve_kwargs)
+    if res.converged:
+        return res.x, res
+    with obs.span("solve.precision_fallback", precision=pl.precision):
+        f64 = algo.factor(op, pl.with_(precision="fp64"))
+        return algo.solve(op, b, pl, f64, **solve_kwargs)
 
 
 def _require_operator(pl: SolverPlan):
@@ -356,8 +415,8 @@ def _solve_model_flops(algorithm: str, order: int, nrhs: int,
                        detail) -> float | None:
     """Closed-form solve-phase cost: ``2 n²`` per column-solve.
 
-    Iterative details take priority over the algorithm name: a
-    reduced-precision ``spd-schur``/``gko`` solve routes through blocked
+    Iterative details take priority over the algorithm name: a solve
+    over a reduced-precision factor routes through blocked
     refinement and its ``detail`` reports the column-solve equivalents
     actually issued (``solve_columns``; ``precond_columns`` /
     ``precond_solves`` for PCG).  Only a plain direct solve falls back
@@ -373,6 +432,21 @@ def _solve_model_flops(algorithm: str, order: int, nrhs: int,
     if algorithm in ("spd-schur", "gko", "dense-chol"):
         return 2.0 * order * order * nrhs
     return None
+
+
+def _trace_direct_solve(sp, pl: SolverPlan, nrhs: int, fact) -> None:
+    """Stamp a direct (factored, unrefined) solve on its span: the
+    closed-form flops and, for a distributed factorization, which
+    backend ran the sweeps and why it fell back."""
+    model = _solve_model_flops(pl.algorithm, pl.order, nrhs, fact)
+    if model is not None:
+        sp.set(model_flops=model)
+    route = getattr(fact, "last_solve_backend", "")
+    if route:
+        sp.set(solve_backend=route)
+        reason = getattr(fact, "last_solve_fallback_reason", "")
+        if reason:
+            sp.set(solve_fallback_reason=reason)
 
 
 def execute(pl: SolverPlan, b, *,
@@ -401,8 +475,12 @@ def execute(pl: SolverPlan, b, *,
             counter = counting_ctx.__enter__()
         try:
             fact, hit = _obtain_factorization(algo, pl, cache, store)
-            with obs.span("solve", algorithm=pl.algorithm, nrhs=nrhs):
-                x, detail = algo.solve(op, b, pl, fact, **solve_kwargs)
+            with obs.span("solve", algorithm=pl.algorithm,
+                          nrhs=nrhs) as ssp:
+                x, detail = _recovering_solve(algo, op, b, pl, fact,
+                                              **solve_kwargs)
+                if obs.enabled() and fact is not None and detail is fact:
+                    _trace_direct_solve(ssp, pl, nrhs, fact)
             res = ExecutionResult(x=x, plan=pl, algorithm=pl.algorithm,
                                   cache_hit=hit, fallback_used=False,
                                   detail=detail)
@@ -522,49 +600,10 @@ def _regrouped(op, pl: SolverPlan):
     return op
 
 
-def _admit_reduced(opr, pl: SolverPlan, fact, refactor):
-    """Condest-gated admission of a reduced-precision factorization.
-
-    Keep ``fact`` only when fp64 refinement over it is expected to
-    converge (``cond · eps_elim ≤ 0.05``,
-    :func:`repro.core.precision.refinement_admissible`); otherwise the
-    operator is refactored at fp64 on the spot, so the solve stage sees
-    an ordinary double factorization and skips the refinement loop.
-    """
-    from repro.core.condest import condest
-    from repro.core.precision import refinement_admissible
-    try:
-        cond = condest(opr, fact)
-    except Exception:
-        cond = float("inf")
-    if refinement_admissible(cond, pl.precision):
-        return fact
-    with obs.span("factor.precision_fallback", precision=pl.precision,
-                  cond_estimate=float(cond)):
-        if obs.enabled():
-            obs.default_registry().counter(
-                "repro_engine_precision_fallbacks_total",
-                "Reduced-precision factorizations rejected by the "
-                "condest admission check and redone at fp64"
-            ).inc(1, algorithm=pl.algorithm, precision=pl.precision)
-        return refactor()
-
-
-def _reduced_precision_solve(op, b, pl, fact, refactor):
-    """Recover fp64 accuracy over a reduced-precision factor.
-
-    Every admitted fp32/mixed factorization solves through blocked
-    iterative refinement with fp64 residuals; if the loop stalls anyway
-    (admission is an estimate, not a proof), refactor at fp64 outside
-    the cache and solve plainly.
-    """
-    from repro.core.refinement import refine
-    res = refine(fact, op, b)
-    if res.converged:
-        return res.x, res
-    with obs.span("solve.precision_fallback", precision=pl.precision):
-        f64 = refactor()
-        return f64.solve(b), f64
+def _factored_solve(op, b, pl, fact, **_kwargs):
+    """Apply the factorization's own solve (shared by every algorithm
+    whose factor solves directly)."""
+    return fact.solve(b), fact
 
 
 def _spd_factor(op, pl: SolverPlan):
@@ -576,120 +615,50 @@ def _spd_factor(op, pl: SolverPlan):
         from repro.parallel.backends import factor_distributed
         return factor_distributed(_regrouped(op, pl), pl)
     from repro.core.schur_spd import SchurOptions, schur_spd_factor
-    opr = _regrouped(op, pl)
     opts = SchurOptions(representation=pl.representation, panel=pl.panel,
                         in_place=pl.in_place, precision=pl.precision)
-    fact = schur_spd_factor(opr, options=opts)
-    if pl.precision == "fp64":
-        return fact
-    return _admit_reduced(
-        opr, pl, fact,
-        lambda: _spd_factor(op, pl.with_(precision="fp64")))
-
-
-def _triangular_solve_flops(order: int, b) -> int:
-    # Two triangular solves (Rᵀy = b, Rx = y) at n² flops per RHS each.
-    nrhs = 1 if getattr(b, "ndim", 1) == 1 else b.shape[1]
-    return 2 * order * order * nrhs
-
-
-def _spd_solve(op, b, pl, fact, **_kwargs):
-    if getattr(fact, "precision", "fp64") != "fp64":
-        return _reduced_precision_solve(
-            op, b, pl, fact,
-            lambda: _spd_factor(op, pl.with_(precision="fp64")))
-    if not obs.enabled():
-        return fact.solve(b), fact
-    with obs.span("triangular_solve",
-                  model_flops=_triangular_solve_flops(pl.order, b)) as sp:
-        x = fact.solve(b)
-        # Distributed factorizations route the solve through a backend
-        # (simulated sweeps or real worker processes) — record which.
-        route = getattr(fact, "last_solve_backend", "")
-        if route:
-            sp.set(solve_backend=route)
-            reason = getattr(fact, "last_solve_fallback_reason", "")
-            if reason:
-                sp.set(solve_fallback_reason=reason)
-        return x, fact
+    return schur_spd_factor(_regrouped(op, pl), options=opts)
 
 
 def _indefinite_factor(op, pl: SolverPlan):
     from repro.core.schur_indefinite import schur_indefinite_factor
-    opr = _regrouped(op, pl)
-    fact = schur_indefinite_factor(opr, perturb=pl.perturb,
+    return schur_indefinite_factor(_regrouped(op, pl), perturb=pl.perturb,
                                    delta=pl.delta, precision=pl.precision)
-    if pl.precision == "fp64":
-        return fact
-    return _admit_reduced(
-        opr, pl, fact,
-        lambda: _indefinite_factor(op, pl.with_(precision="fp64")))
 
 
 def _indefinite_solve(op, b, pl, fact, *, tol=None, max_iter=25,
                       keep_history=False):
-    from repro.core.refinement import refine
-    res = refine(fact, op, b, tol=tol, max_iter=max_iter,
-                 keep_history=keep_history)
-    if not res.converged and getattr(fact, "precision", "fp64") != "fp64":
-        # Reduced factor stalled below fp64: redo the factorization in
-        # double (outside the cache) and refine against that instead.
-        with obs.span("solve.precision_fallback", precision=pl.precision):
-            f64 = _indefinite_factor(op, pl.with_(precision="fp64"))
-            res = refine(f64, op, b, tol=tol, max_iter=max_iter,
-                         keep_history=keep_history)
+    from repro.core import refinement
+    res = refinement.refine(fact, op, b, tol=tol, max_iter=max_iter,
+                            keep_history=keep_history)
     return res.x, res
 
 
 def _gko_factor(op, pl: SolverPlan):
     from repro.core.gko import gko_factor
-    fact = gko_factor(op, precision=pl.precision)
-    if pl.precision == "fp64":
-        return fact
-    return _admit_reduced(
-        op, pl, fact,
-        lambda: _gko_factor(op, pl.with_(precision="fp64")))
-
-
-def _gko_solve(op, b, pl, fact, **_kwargs):
-    if getattr(fact, "precision", "fp64") != "fp64":
-        return _reduced_precision_solve(
-            op, b, pl, fact,
-            lambda: _gko_factor(op, pl.with_(precision="fp64")))
-    if not obs.enabled():
-        return fact.solve(b), fact
-    with obs.span("triangular_solve",
-                  model_flops=_triangular_solve_flops(pl.order, b)):
-        return fact.solve(b), fact
+    return gko_factor(op, precision=pl.precision)
 
 
 def _gs_factor(op, pl: SolverPlan):
+    # ``x = T⁻¹ e₀`` is solved to fp64 accuracy at any precision, but an
+    # fp32 plan stores it (and so applies T⁻¹) in single precision: that
+    # factor reports ``precision="fp32"`` and the engine refines over it.
     from repro.core.gohberg_semencul import toeplitz_inverse
     return toeplitz_inverse(op, precision=pl.precision)
 
 
-def _gs_solve(op, b, pl, fact, **_kwargs):
-    # ``x = T⁻¹ e₀`` is computed at full accuracy even under a reduced
-    # storage precision (the inner structured solve refines in fp64), so
-    # there is no refinement path here — applying T⁻¹ *is* the solve.
-    if not obs.enabled():
-        return fact.solve(b), fact
-    with obs.span("gs_apply", order=pl.order):
-        return fact.solve(b), fact
-
-
 register_algorithm(
-    "spd-schur", factor=_spd_factor, solve=_spd_solve,
+    "spd-schur", factor=_spd_factor, solve=_factored_solve,
     description="block Schur Cholesky T = RᵀR (Sections 2–6)")
 register_algorithm(
     "indefinite+refine", factor=_indefinite_factor,
     solve=_indefinite_solve,
     description="perturbed RᵀDR + iterative refinement (Section 8)")
 register_algorithm(
-    "gko", factor=_gko_factor, solve=_gko_solve,
+    "gko", factor=_gko_factor, solve=_factored_solve,
     description="GKO Cauchy-like LU with partial pivoting "
                 "(nonsymmetric block Toeplitz)")
 register_algorithm(
-    "gs", factor=_gs_factor, solve=_gs_solve,
+    "gs", factor=_gs_factor, solve=_factored_solve,
     description="Gohberg–Semencul T⁻¹ operator (scalar symmetric; one "
                 "O(n²) structured solve, then O(n log n) per RHS)")

@@ -52,8 +52,7 @@ _CACHE_VALUES = ("memory", "persistent", "off")
 #: same operator never share a cache entry.
 _PLAN_KEY_FIELDS = ("algorithm", "representation", "block_size", "panel",
                     "in_place", "perturb", "delta", "nproc",
-                    "distribution_b", "backend", "schedule", "transport",
-                    "precision")
+                    "distribution_b", "backend", "schedule", "precision")
 
 
 @dataclass(frozen=True)
@@ -91,12 +90,10 @@ class SolverPlan:
     in_place: bool = True
     perturb: bool = True
     delta: float | None = None
-    use_cache: bool = True
     #: Cache tiering: ``"memory"`` (in-process LRU), ``"persistent"``
     #: (LRU backed by the on-disk cross-process store) or ``"off"``.
-    #: Kept consistent with ``use_cache`` by :func:`plan`; deliberately
-    #: NOT part of the cache key — where a factorization is stored never
-    #: changes what it is.
+    #: Deliberately NOT part of the cache key — where a factorization is
+    #: stored never changes what it is.
     cache: str = "memory"
     nproc: int = 1
     distribution_b: float | None = None
@@ -110,9 +107,6 @@ class SolverPlan:
     #: Section-7 pipelined schedule — Version 1 layout, NP ≥ 2 — that
     #: overlaps the serial generator build with application work).
     schedule: str = "bulk"
-    #: Transport the real backend's segments/collectives run over (see
-    #: :func:`repro.parallel.transport.available_transports`).
-    transport: str = "shared_memory"
     #: Working precision of the factorization: ``"fp64"``, ``"fp32"``
     #: (single-precision factor + fp64 refinement recovery at solve
     #: time) or ``"mixed"`` (fp32 hyperbolic elimination, fp64
@@ -169,8 +163,7 @@ class SolverPlan:
                          "(fp64 recovery via refinement)")
         else:
             lines.append("  precision       fp64")
-        cache = self.cache if self.use_cache else "off"
-        lines.append(f"  cache           {cache} "
+        lines.append(f"  cache           {self.cache} "
                      f"(fingerprint {self.fingerprint[:12]}…)")
         if self.nproc > 1:
             lines.append(
@@ -178,10 +171,6 @@ class SolverPlan:
                 f"(b={self.distribution_b}), NP={self.nproc}")
             lines.append(f"  backend         {self.backend}")
             lines.append(f"  schedule        {self.schedule}")
-            lines.append(f"  transport       {self.transport}"
-                         + ("" if self.backend == "multiprocess"
-                            else " (takes effect with the multiprocess "
-                                 "backend)"))
         if self.predicted_seconds is not None:
             lines.append(f"  predicted time  "
                          f"{self.predicted_seconds * 1e3:.3f} ms")
@@ -198,12 +187,22 @@ class SolverPlan:
     @classmethod
     def from_dict(cls, d: dict, operator=None) -> "SolverPlan":
         """Rebuild a plan from :meth:`to_dict` output, optionally
-        re-attaching the operator it was made for."""
+        re-attaching the operator it was made for.
+
+        Also loads dicts written before the ``use_cache`` bool and the
+        one-value ``transport`` field were dropped: ``use_cache: false``
+        reads as ``cache="off"``, and ``transport`` must name the one
+        fabric there is, ``"shared_memory"``.
+        """
         d = dict(d)
         d.pop("operator", None)
-        # Plans serialized before the cache axis existed: derive it.
-        d.setdefault("cache",
-                     "memory" if d.get("use_cache", True) else "off")
+        if not d.pop("use_cache", True):
+            d["cache"] = "off"
+        transport = d.pop("transport", "shared_memory")
+        if transport != "shared_memory":
+            raise InvalidOptionError(
+                f"unknown transport={transport!r}; the multiprocess "
+                "backend runs over shared memory only")
         return cls(operator=operator, **d)
 
 
@@ -260,13 +259,11 @@ def plan(op, *, assume: str = "auto", machine: MachineSpec | None = None,
          algorithm: str | None = None, representation: str | None = None,
          block_size: int | None = None, panel: int | None = None,
          in_place: bool = True, perturb: bool = True,
-         delta: float | None = None, use_cache: bool = True,
-         cache: str | None = None,
+         delta: float | None = None, cache: str = "memory",
          probe: bool = True, nproc: int | None = None,
          distribution_b: float | None = None,
          backend: str = "simulated",
          schedule: str = "bulk",
-         transport: str = "shared_memory",
          precision: str = "fp64") -> SolverPlan:
     """Produce a :class:`SolverPlan` for ``op``.
 
@@ -278,11 +275,9 @@ def plan(op, *, assume: str = "auto", machine: MachineSpec | None = None,
                         algorithm=algorithm, representation=representation,
                         block_size=block_size, panel=panel,
                         in_place=in_place, perturb=perturb, delta=delta,
-                        use_cache=use_cache, cache=cache,
-                        probe=probe, nproc=nproc,
+                        cache=cache, probe=probe, nproc=nproc,
                         distribution_b=distribution_b, backend=backend,
-                        schedule=schedule, transport=transport,
-                        precision=precision)
+                        schedule=schedule, precision=precision)
         sp.set(algorithm=pl.algorithm, order=pl.order,
                block_size=pl.block_size)
     return pl
@@ -294,13 +289,11 @@ def _make_plan(op, *, assume: str = "auto",
                representation: str | None = None,
                block_size: int | None = None, panel: int | None = None,
                in_place: bool = True, perturb: bool = True,
-               delta: float | None = None, use_cache: bool = True,
-               cache: str | None = None,
+               delta: float | None = None, cache: str = "memory",
                probe: bool = True, nproc: int | None = None,
                distribution_b: float | None = None,
                backend: str = "simulated",
                schedule: str = "bulk",
-               transport: str = "shared_memory",
                precision: str = "fp64") -> SolverPlan:
     """Produce a :class:`SolverPlan` for ``op``.
 
@@ -323,15 +316,12 @@ def _make_plan(op, *, assume: str = "auto",
         Factorization knobs (see :class:`~repro.core.SchurOptions` and
         :func:`~repro.core.schur_indefinite.schur_indefinite_factor`);
         explicit values win over machine-tuned ones.
-    use_cache : bool
-        Whether executions of this plan may reuse cached factorizations.
-    cache : {"memory", "persistent", "off"}, optional
-        Cache tiering.  ``"memory"`` keeps the in-process LRU only;
-        ``"persistent"`` backs it with the on-disk cross-process store
-        (:func:`repro.engine.default_store`), so factorizations survive
-        restarts and are shared between workers; ``"off"`` disables
-        caching.  Defaults from ``use_cache`` (``True`` → ``"memory"``);
-        an explicit value wins and keeps ``use_cache`` consistent.
+    cache : {"memory", "persistent", "off"}
+        Cache tiering.  ``"memory"`` (the default) keeps the in-process
+        LRU only; ``"persistent"`` backs it with the on-disk
+        cross-process store (:func:`repro.engine.default_store`), so
+        factorizations survive restarts and are shared between workers;
+        ``"off"`` disables caching.
     probe : bool
         Disable the definiteness probe (``assume="auto"`` then always
         plans the SPD path with the fallback armed).
@@ -353,10 +343,6 @@ def _make_plan(op, *, assume: str = "auto",
         overlaps the serial generator build with application work;
         it requires the Version 1 distribution (``b = 1``) and
         ``nproc ≥ 2``.
-    transport : str
-        Named transport the real backend's shared segments run over
-        (``"shared_memory"`` by default; see
-        :func:`repro.parallel.transport.available_transports`).
     precision : {"fp64", "fp32", "mixed"}
         Working precision of the factorization.  Reduced-precision
         plans factor faster and route every solve through blocked
@@ -378,22 +364,13 @@ def _make_plan(op, *, assume: str = "auto",
         raise InvalidOptionError(
             f"unknown precision={precision!r}; expected one of "
             f"{_PRECISION_VALUES}")
-    if cache is None:
-        cache = "memory" if use_cache else "off"
-    elif cache not in _CACHE_VALUES:
+    if cache not in _CACHE_VALUES:
         raise InvalidOptionError(
             f"unknown cache={cache!r}; expected one of {_CACHE_VALUES}")
-    else:
-        use_cache = cache != "off"
     if schedule not in _SCHEDULE_VALUES:
         raise InvalidOptionError(
             f"unknown schedule={schedule!r}; expected one of "
             f"{_SCHEDULE_VALUES}")
-    from repro.parallel.transport import available_transports
-    if transport not in available_transports():
-        raise InvalidOptionError(
-            f"unknown transport={transport!r}; registered: "
-            f"{available_transports()}")
     if nproc is not None and nproc < 1:
         raise ShapeError(f"nproc must be positive, got {nproc}")
 
@@ -477,8 +454,8 @@ def _make_plan(op, *, assume: str = "auto",
         structural_block_size=m, order=n,
         fingerprint=target.fingerprint(), assume=assume,
         fallback=fallback, panel=panel, in_place=in_place,
-        perturb=perturb, delta=delta, use_cache=use_cache, cache=cache,
+        perturb=perturb, delta=delta, cache=cache,
         nproc=nproc, distribution_b=dist_b, backend=backend,
-        schedule=schedule, transport=transport,
-        precision=precision, predicted_seconds=predicted, note=note,
+        schedule=schedule, precision=precision,
+        predicted_seconds=predicted, note=note,
         operator=target)

@@ -33,13 +33,6 @@ from repro.parallel.distributions import (
     SpreadLayout,
     make_layout,
 )
-from repro.parallel.transport import (
-    Transport,
-    SharedMemoryTransport,
-    available_transports,
-    get_transport,
-    register_transport,
-)
 
 # The simulator and the backends load on first use.
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -72,9 +65,4 @@ __all__ = [
     "mp_factorization",
     "mp_triangular_solve",
     "multiprocess_available",
-    "Transport",
-    "SharedMemoryTransport",
-    "available_transports",
-    "get_transport",
-    "register_transport",
 ]

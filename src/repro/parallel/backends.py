@@ -90,8 +90,6 @@ class DistributedFactorization:
     requested_backend: str
     fallback_reason: str = ""
     run: object | None = None
-    #: Transport the multiprocess data plane runs over.
-    transport: str = "shared_memory"
     #: Which path the most recent :meth:`solve` took (``"simulated"``,
     #: ``"multiprocess"`` or ``"serial"``) and, for ``"serial"``, why
     #: the distributed sweeps could not run.
@@ -106,7 +104,6 @@ class DistributedFactorization:
                  num_blocks: int, representation: str, nproc: int,
                  backend: str, requested_backend: str,
                  fallback_reason: str = "", run: object | None = None,
-                 transport: str = "shared_memory",
                  packed: PackedUpper | None = None):
         if packed is None:
             r = np.asarray(r, dtype=np.float64)
@@ -121,7 +118,6 @@ class DistributedFactorization:
         self.requested_backend = requested_backend
         self.fallback_reason = fallback_reason
         self.run = run
-        self.transport = transport
         self.last_solve_backend = ""
         self.last_solve_fallback_reason = ""
         self.last_solve_run = None
@@ -166,7 +162,7 @@ class DistributedFactorization:
         if self.nproc < 2:
             return "serial", "single PE"
         if self.backend == "multiprocess":
-            ok, why = multiprocess_available(transport=self.transport)
+            ok, why = multiprocess_available()
             if not ok:
                 return "serial", why
         return self.backend, ""
@@ -194,8 +190,7 @@ class DistributedFactorization:
                 try:
                     srun = mp_triangular_solve(
                         self.packed, self.layout, b,
-                        block_size=self.block_size,
-                        transport=self.transport)
+                        block_size=self.block_size)
                     self.last_solve_backend = "multiprocess"
                     self.last_solve_fallback_reason = ""
                     self.last_solve_run = srun
@@ -247,8 +242,7 @@ def _from_run(run, pl, *, backend: str, reason: str
         num_blocks=run.num_blocks,
         representation=run.representation, nproc=pl.nproc,
         backend=backend, requested_backend=pl.backend,
-        fallback_reason=reason, run=run,
-        transport=getattr(pl, "transport", "shared_memory"))
+        fallback_reason=reason, run=run)
 
 
 def factor_distributed(op, pl) -> DistributedFactorization:
@@ -268,8 +262,7 @@ def factor_distributed(op, pl) -> DistributedFactorization:
                   nproc=pl.nproc, schedule=schedule) as sp:
         reason = ""
         if pl.backend == "multiprocess":
-            ok, why = multiprocess_available(
-                transport=getattr(pl, "transport", "shared_memory"))
+            ok, why = multiprocess_available()
             if ok:
                 try:
                     run = mp_factorization(op, plan=pl)

@@ -5,9 +5,9 @@ Where :mod:`repro.parallel.driver` runs the paper's Section-7 programs on
 the *simulated* T3D, this module runs them for real: one OS process per
 PE, the ``2m × mp`` generator and the packed factor in shared segments
 (the stand-in for the T3D's globally addressable memory, created through
-the pluggable :mod:`repro.parallel.transport` layer — ``shared_memory``
-by default), and the same three data distributions deciding which PE
-owns which block columns (Versions 1/2) or column chunks (Version 3).
+:mod:`repro.parallel.transport`), and the same three data distributions
+deciding which PE owns which block columns (Versions 1/2) or column
+chunks (Version 3).
 
 One program, two executors.  The bulk factorization
 (:func:`~repro.parallel.spmd.block_cyclic_program`,
@@ -24,7 +24,7 @@ program and *interprets* the ops it yields:
   one's own rank goes straight to that mailbox;
 * ``Broadcast``/``Reduce`` — puts from the root / to the root (which
   sums, ``None`` counting as zero);
-* ``Barrier`` — the transport barrier;
+* ``Barrier`` — the shared process barrier;
 * ``Compute`` — nothing (the work already ran); it only closes a phase.
 
 Every wait — for a message, for ring space — is the one wait loop
@@ -71,6 +71,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
+from threading import BrokenBarrierError
 from types import SimpleNamespace
 
 import numpy as np
@@ -90,7 +91,7 @@ from repro.machine.ops import Barrier, Broadcast, Compute, Put, Recv, Reduce
 from repro.obs.export import merge_rank_traces, span_records
 from repro.obs.schema import SOURCE_MULTIPROCESS
 from repro.obs.spans import Span
-from repro.parallel import costs
+from repro.parallel import costs, transport
 from repro.parallel.distributions import (
     BlockCyclicLayout,
     SpreadLayout,
@@ -102,7 +103,7 @@ from repro.parallel.spmd import (
     spread_program,
 )
 from repro.parallel.spmd_solve import triangular_solve_program
-from repro.parallel.transport import SegmentHandle, get_transport
+from repro.parallel.transport import SegmentHandle
 from repro.toeplitz.block_toeplitz import SymmetricBlockToeplitz
 from repro.utils.lintools import as_panel, from_panel
 
@@ -132,27 +133,19 @@ def _u_slot_bytes(m: int) -> int:
 # ----------------------------------------------------------------------
 # Availability
 # ----------------------------------------------------------------------
-def multiprocess_available(*, refresh: bool = False,
-                           transport: str = "shared_memory"
-                           ) -> tuple[bool, str]:
+def multiprocess_available(*, refresh: bool = False) -> tuple[bool, str]:
     """Whether the real multiprocess backend can run here.
 
     Returns ``(ok, reason)``; ``reason`` explains a ``False`` (it is the
     string the engine records when it falls back to simulation).  The
-    platform probe — can the named transport create segments and
-    semaphores? — is cached per transport; ``REPRO_MP_DISABLE`` (any
-    truthy value) short-circuits it, which is also the tested fallback
-    path.
+    platform probe — can this host create shared segments and
+    semaphores? — is cached; ``REPRO_MP_DISABLE`` (any truthy value)
+    short-circuits it, which is also the tested fallback path.
     """
     if os.environ.get("REPRO_MP_DISABLE", "").lower() not in \
             ("", "0", "false"):
         return False, "disabled by REPRO_MP_DISABLE"
-    try:
-        tr = get_transport(transport)
-    except DistributionError as exc:
-        return False, str(exc)
-    return tr.probe(refresh=refresh) if transport == "shared_memory" \
-        else tr.probe()
+    return transport.probe(refresh=refresh)
 
 
 # ----------------------------------------------------------------------
@@ -189,6 +182,10 @@ def _maybe_crash(rank: int, stage: str) -> None:
         os._exit(3)
 
 
+class _PeerAborted(DistributionError):
+    """A wait released by a peer's failure (the poison flag)."""
+
+
 def _wait(ready, poison, what: str, drain=None) -> None:
     """The one wait loop: return once ``ready()`` holds.
 
@@ -211,7 +208,7 @@ def _wait(ready, poison, what: str, drain=None) -> None:
         if ready():
             return
         if poison[0]:
-            raise DistributionError(f"peer aborted while waiting for {what}")
+            raise _PeerAborted(f"peer aborted while waiting for {what}")
         if deadline is None:
             deadline = time.monotonic() + _BARRIER_TIMEOUT
         elif time.monotonic() > deadline:
@@ -226,25 +223,25 @@ class _WorkerScope:
     Entering fires the ``spawn`` crash hook; :meth:`attach` maps
     segments (detached again on exit, whatever happens);
     :meth:`finish` ships the payload back.  An exception is shipped back
-    instead — ``breakdown`` for a Schur breakdown — after the poison
-    flag is raised and the barrier aborted, so peers stop waiting.
+    instead — ``breakdown`` for a Schur breakdown, ``aborted`` for a
+    wake-up caused by a peer's failure (a broken barrier or a poisoned
+    wait) — after the poison flag is raised and the barrier aborted, so
+    peers stop waiting.
     """
 
-    def __init__(self, rank: int, tname: str, queue, barrier=None):
+    def __init__(self, rank: int, queue, barrier=None):
         self.rank = rank
         self.queue = queue
         self.barrier = barrier
         self.poison = None
-        self._tname = tname
         self._atts: list = []
 
     def __enter__(self) -> "_WorkerScope":
         _maybe_crash(self.rank, "spawn")
-        self._transport = get_transport(self._tname)
         return self
 
     def attach(self, handle: SegmentHandle) -> np.ndarray:
-        att = self._transport.attach(handle)
+        att = transport.attach(handle)
         self._atts.append(att)
         return att.array
 
@@ -265,8 +262,12 @@ class _WorkerScope:
         return isinstance(exc, Exception)    # reported, not re-raised
 
     def _fail(self, exc: Exception, tb) -> None:
-        kind = "breakdown" if isinstance(
-            exc, (BreakdownError, NotPositiveDefiniteError)) else "error"
+        if isinstance(exc, (BreakdownError, NotPositiveDefiniteError)):
+            kind = "breakdown"
+        elif isinstance(exc, (BrokenBarrierError, _PeerAborted)):
+            kind = "aborted"
+        else:
+            kind = "error"
         if self.poison is not None:
             try:
                 self.poison[0] = 1      # release peers in _wait
@@ -521,15 +522,14 @@ class _Executor:
         return value
 
 
-def _program_worker(rank, nproc, tname, program, kwargs, comm_h, barrier,
-                    queue):
+def _program_worker(rank, nproc, program, kwargs, comm_h, barrier, queue):
     """One PE running a simulator program under :class:`_Executor`.
 
     ``kwargs`` are the program's keyword arguments, with segment
     handles for the shared arrays; ``packed`` is wrapped as the
     order-``m·p`` :class:`~repro.core.packed.PackedUpper` it holds.
     """
-    with _WorkerScope(rank, tname, queue, barrier) as scope:
+    with _WorkerScope(rank, queue, barrier) as scope:
         args = {key: scope.attach(v) if isinstance(v, SegmentHandle) else v
                 for key, v in kwargs.items()}
         if args.get("packed") is not None:
@@ -546,9 +546,9 @@ def _program_worker(rank, nproc, tname, program, kwargs, comm_h, barrier,
 # ----------------------------------------------------------------------
 # The lookahead port
 # ----------------------------------------------------------------------
-def _lookahead_worker(rank, nproc, tname, gen_h, r_h, ups_h, upflag_h,
-                      piv_h, pivflag_h, uslot_h, ulen_h, poison_h,
-                      m, p, w, layout, representation, queue):
+def _lookahead_worker(rank, nproc, gen_h, r_h, ups_h, upflag_h, piv_h,
+                      pivflag_h, uslot_h, ulen_h, poison_h, m, p, w, layout,
+                      representation, queue):
     """One PE of the Section-7 lookahead schedule (Version 1, NP ≥ 2).
 
     A barrier-free port of
@@ -572,7 +572,7 @@ def _lookahead_worker(rank, nproc, tname, gen_h, r_h, ups_h, upflag_h,
     still read 860–905 against 757–784 ms (2-vCPU host, one BLAS
     thread).
     """
-    with _WorkerScope(rank, tname, queue) as scope:
+    with _WorkerScope(rank, queue) as scope:
         gen = scope.attach(gen_h)
         poison = scope.poison = scope.attach(poison_h)
         _maybe_crash(rank, "attach")
@@ -811,8 +811,6 @@ class MPRun(_WorkerRun):
     workers: list[dict]
     #: Which per-step schedule ran (``"bulk"`` or ``"lookahead"``).
     schedule: str = "bulk"
-    #: Transport the segments ran over.
-    transport: str = "shared_memory"
 
     @property
     def r(self) -> np.ndarray | None:
@@ -841,7 +839,6 @@ class MPSolveRun(_WorkerRun):
     start_method: str
     #: Per-rank worker payloads (phase times, comm counters), rank order.
     workers: list[dict]
-    transport: str = "shared_memory"
 
     def reduce_words_by_rank(self) -> dict[int, int]:
         """Words contributed per rank to the backward-sweep reductions."""
@@ -882,9 +879,12 @@ def _run_workers(ctx, worker, nproc, args, queue, barrier):
 
     Returns ``(payloads, wall_seconds)``; raises
     :class:`NotPositiveDefiniteError` on a worker-side Schur breakdown
-    and :class:`DistributionError` on any other worker failure.  The
-    caller's ``finally`` owns segment cleanup (via the transport
-    session) — this helper only guarantees no worker outlives it.
+    and :class:`DistributionError` on any other worker failure.  A
+    failing worker wakes its peers (poisoned waits, an aborted barrier)
+    and they fail too, so the failure reported is the lowest-rank one
+    that is not such a wake-up.  The caller's ``finally`` owns segment
+    cleanup (via the transport session) — this helper only guarantees
+    no worker outlives it.
     """
     procs = [ctx.Process(target=worker, args=(rank, nproc) + args,
                          daemon=True)
@@ -907,12 +907,13 @@ def _run_workers(ctx, worker, nproc, args, queue, barrier):
                 pr.terminate()
     failures = [w for w in payloads if not w.get("ok")]
     if failures:
-        if any(w.get("kind") == "breakdown" for w in failures):
+        cause = min(failures, key=lambda w: w.get("kind") == "aborted")
+        if cause.get("kind") == "breakdown":
             raise NotPositiveDefiniteError(
                 "distributed Schur breakdown: "
-                + failures[0]["error"].splitlines()[0])
+                + cause["error"].splitlines()[0])
         raise DistributionError(
-            "multiprocess worker failed:\n" + failures[0]["error"])
+            "multiprocess worker failed:\n" + cause["error"])
     return sorted(payloads, key=lambda w: w["rank"]), wall
 
 
@@ -923,16 +924,15 @@ def mp_factorization(t: SymmetricBlockToeplitz,
                      layout=None,
                      representation: str | None = None,
                      collect: bool = True,
-                     schedule: str | None = None,
-                     transport: str | None = None) -> MPRun:
+                     schedule: str | None = None) -> MPRun:
     """Factor ``t`` with real OS processes, one per PE.
 
     Parameters mirror
     :func:`~repro.parallel.driver.simulate_factorization`: ``b`` (or an
     explicit ``layout``) selects the paper's Version 1/2/3 distribution,
     a machine-tuned :class:`~repro.engine.SolverPlan` may supply
-    ``nproc`` / ``b`` / ``representation`` / ``schedule`` /
-    ``transport``, and ``collect=False`` skips writing ``R`` (for
+    ``nproc`` / ``b`` / ``representation`` / ``schedule``, and
+    ``collect=False`` skips writing ``R`` (for
     timing sweeps).  ``schedule="lookahead"`` runs the Section-7
     pipelined schedule (Version 1 layout, NP ≥ 2) instead of the
     barrier-per-step bulk program.
@@ -958,18 +958,15 @@ def mp_factorization(t: SymmetricBlockToeplitz,
             representation = plan.representation
         if schedule is None:
             schedule = getattr(plan, "schedule", "bulk")
-        if transport is None:
-            transport = getattr(plan, "transport", "shared_memory")
     representation = representation or "vy2"
     schedule = schedule or "bulk"
-    transport = transport or "shared_memory"
     if nproc is None:
         raise DistributionError(
             "nproc is required (directly or through a SolverPlan)")
     if schedule not in SCHEDULES:
         raise DistributionError(
             f"unknown schedule {schedule!r}; expected one of {SCHEDULES}")
-    ok, reason = multiprocess_available(transport=transport)
+    ok, reason = multiprocess_available()
     if not ok:
         raise MultiprocessUnavailableError(reason)
     if layout is None:
@@ -997,10 +994,9 @@ def mp_factorization(t: SymmetricBlockToeplitz,
                 "the spread (Version 3) program supports the SPD "
                 "signature only")
 
-    tr = get_transport(transport)
-    ctx = tr.context()
+    ctx = transport.context()
     barrier = None
-    with tr.session() as sess:
+    with transport.session() as sess:
         try:
             gen_arr, gen_h = sess.ndarray(g.gen.shape)
             r_seg, r_h = (sess.ndarray((packed_size(n),)) if collect
@@ -1024,9 +1020,9 @@ def mp_factorization(t: SymmetricBlockToeplitz,
                                           dtype=np.uint8)
             ulen, ulen_h = sess.ndarray((p,), dtype=np.int64)
             poison, poison_h = sess.ndarray((1,), dtype=np.int64)
-            args = (transport, gen_h, r_h, ups_h, upflag_h, piv_h,
-                    pivflag_h, uslot_h, ulen_h, poison_h, m, p, g.w,
-                    layout, representation, queue)
+            args = (gen_h, r_h, ups_h, upflag_h, piv_h, pivflag_h,
+                    uslot_h, ulen_h, poison_h, m, p, g.w, layout,
+                    representation, queue)
             worker = _lookahead_worker
         else:
             program = (block_cyclic_program
@@ -1034,7 +1030,7 @@ def mp_factorization(t: SymmetricBlockToeplitz,
                        else spread_program)
             kwargs = dict(layout=layout, m=m, p=p, w=g.w, gen=gen_h,
                           representation=representation, packed=r_h)
-            args = (transport, program, kwargs, comm_h, barrier, queue)
+            args = (program, kwargs, comm_h, barrier, queue)
             worker = _program_worker
 
         payloads, wall = _run_workers(ctx, worker, nproc, args, queue,
@@ -1045,8 +1041,7 @@ def mp_factorization(t: SymmetricBlockToeplitz,
                     num_blocks=p, representation=representation,
                     wall_seconds=wall,
                     start_method=ctx.get_start_method(),
-                    workers=payloads, schedule=schedule,
-                    transport=transport)
+                    workers=payloads, schedule=schedule)
     run._publish(
         "repro_mp_runs_total",
         "Real multiprocess distributed factorizations completed",
@@ -1058,9 +1053,7 @@ def mp_factorization(t: SymmetricBlockToeplitz,
 
 
 def mp_triangular_solve(r: PackedUpper | np.ndarray, layout,
-                        b: np.ndarray, *, block_size: int,
-                        transport: str = "shared_memory"
-                        ) -> MPSolveRun:
+                        b: np.ndarray, *, block_size: int) -> MPSolveRun:
     """Solve ``RᵀR x = b`` with the factor column-distributed over
     real worker processes.
 
@@ -1077,7 +1070,7 @@ def mp_triangular_solve(r: PackedUpper | np.ndarray, layout,
         raise DistributionError(
             "the distributed solve supports Versions 1/2 "
             "(whole block columns)")
-    ok, reason = multiprocess_available(transport=transport)
+    ok, reason = multiprocess_available()
     if not ok:
         raise MultiprocessUnavailableError(reason)
     n = r.n if isinstance(r, PackedUpper) else r.shape[0]
@@ -1089,9 +1082,8 @@ def mp_triangular_solve(r: PackedUpper | np.ndarray, layout,
     k = panel.shape[1]
     nproc = layout.nproc
 
-    tr = get_transport(transport)
-    ctx = tr.context()
-    with tr.session() as sess:
+    ctx = transport.context()
+    with transport.session() as sess:
         try:
             r_seg, r_h = sess.ndarray((packed_size(n),))
             b_arr, b_h = sess.ndarray((n, k))
@@ -1109,8 +1101,7 @@ def mp_triangular_solve(r: PackedUpper | np.ndarray, layout,
         b_arr[:] = panel
 
         kwargs = dict(layout=layout, m=m, p=p, packed=r_h, b=b_h, x=x_h)
-        args = (transport, triangular_solve_program, kwargs, comm_h,
-                barrier, queue)
+        args = (triangular_solve_program, kwargs, comm_h, barrier, queue)
         payloads, wall = _run_workers(ctx, _program_worker, nproc, args,
                                       queue, barrier)
         x = np.array(x_arr)
@@ -1119,7 +1110,7 @@ def mp_triangular_solve(r: PackedUpper | np.ndarray, layout,
                      layout=layout, block_size=m, num_blocks=p, nrhs=k,
                      wall_seconds=wall,
                      start_method=ctx.get_start_method(),
-                     workers=payloads, transport=transport)
+                     workers=payloads)
     run._publish(
         "repro_mp_solves_total",
         "Real multiprocess distributed triangular solves completed",

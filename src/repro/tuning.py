@@ -128,16 +128,14 @@ class TuningResult:
     nproc: int = 1
     candidates: list = field(default_factory=list)
 
-    def to_plan(self, op, *, assume: str = "auto",
-                use_cache: bool = True):
+    def to_plan(self, op, *, assume: str = "auto"):
         """Materialize this recommendation as a
         :class:`~repro.engine.SolverPlan` for ``op``."""
         from repro.engine.plan import plan as make_plan
         pl = make_plan(op, assume=assume,
                        representation=self.representation,
                        block_size=(self.block_size
-                                   if self.nproc <= 1 else None),
-                       use_cache=use_cache)
+                                   if self.nproc <= 1 else None))
         return pl.with_(
             nproc=self.nproc,
             distribution_b=(self.distribution.b

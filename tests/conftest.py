@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,14 @@ from repro.toeplitz.workloads import (
     kms_toeplitz,
     paper_example_matrix,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_processes_left_running():
+    """Fail the session if a test left a child process running."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"child processes still running: {left}"
 
 
 @pytest.fixture

@@ -307,9 +307,9 @@ class TestEngineWiring:
     def test_cache_axis_validation(self):
         t = kms_toeplitz(16, 0.5)
         pl = engine.plan(t)
-        assert pl.cache == "memory" and pl.use_cache
+        assert pl.cache == "memory"
         off = engine.plan(t, cache="off")
-        assert not off.use_cache and off.cache == "off"
+        assert off.cache == "off"
         from repro.engine.plan import _PLAN_KEY_FIELDS
         assert "cache" not in _PLAN_KEY_FIELDS
         with pytest.raises(InvalidOptionError):

@@ -1,0 +1,154 @@
+"""Conformance over the plan space, against a dense oracle.
+
+Every registered algorithm (plus the distributed ``spd-schur`` on
+``nproc=2`` simulated) × every precision × every cache tier, on a fixed
+operator catalog: KMS, a block AR operator, a scalar operator with an
+exactly singular leading minor, and the paper's eq.-50 matrix.
+
+Where ``plan()`` and ``execute()`` accept a combination, every answer
+has a normwise backward error η ≤ 1e-10, a cache hit equals the fresh
+solve bit for bit (the GKO disk form re-runs its LU from the stored
+generators, so it is held to 1e-13 relative), and each column of a
+three-column panel matches its single solve to 1e-12 relative.
+Everywhere else the combination raises a typed error.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import repro.engine as engine
+from repro.core.precision import PRECISIONS
+from repro.engine import FactorizationCache, set_default_cache
+from repro.engine.cache_store import CacheStore, set_default_store
+from repro.errors import (
+    BreakdownError,
+    InvalidOptionError,
+    NotPositiveDefiniteError,
+    ShapeError,
+    SingularMinorError,
+)
+from repro.toeplitz import (
+    ar_block_toeplitz,
+    kms_toeplitz,
+    paper_example_matrix,
+    singular_minor_toeplitz,
+)
+
+OPERATORS = {
+    "kms48": lambda: kms_toeplitz(48, 0.5),
+    "ar12x4": lambda: ar_block_toeplitz(12, 4, seed=3),
+    "singular_minor": lambda: singular_minor_toeplitz(48, seed=4),
+    "eq50": paper_example_matrix,
+}
+#: Operators with an exactly singular leading principal minor (so no
+#: Cholesky-type or Levinson recursion can pass them).
+SINGULAR_MINOR = ("singular_minor", "eq50")
+
+#: ``(case id, plan kwargs)``: each registered algorithm, then the
+#: distributed SPD factorization on the simulated backend.
+CASES = [(name, {"algorithm": name}) for name in sorted(engine.algorithms())]
+CASES.append(("spd-schur-np2", {"algorithm": "spd-schur", "nproc": 2}))
+
+#: Algorithms whose factor the persistent store keeps (serial only).
+STORED = ("spd-schur", "indefinite+refine", "gko", "gs", "pcg")
+
+TIERS = ("memory", "persistent", "off")
+
+
+@pytest.fixture(autouse=True)
+def private_tiers(tmp_path):
+    """A fresh default memory cache and a default store in ``tmp_path``,
+    so each plan's own cache axis picks the tier."""
+    previous_cache = set_default_cache(FactorizationCache())
+    previous_store = set_default_store(CacheStore(tmp_path / "store"))
+    yield
+    set_default_cache(previous_cache)
+    set_default_store(previous_store)
+
+
+def _expected_error(kwargs: dict, precision: str, op_name: str, op):
+    algorithm = kwargs["algorithm"]
+    if kwargs.get("nproc", 1) > 1 and precision != "fp64":
+        return InvalidOptionError
+    if op_name in SINGULAR_MINOR:
+        if kwargs.get("nproc", 1) > 1:
+            # The simulated distributed factor raises the Schur
+            # breakdown itself; the serial and multiprocess paths map
+            # it to NotPositiveDefiniteError.
+            return (NotPositiveDefiniteError, BreakdownError)
+        if algorithm in ("spd-schur", "dense-chol"):
+            return NotPositiveDefiniteError
+        if algorithm == "levinson":
+            return SingularMinorError
+    if algorithm == "gs" and op.block_size > 1:
+        return ShapeError
+    return None
+
+
+def _eta(dense: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
+    """Normwise backward error ‖b − Tx‖∞ / (‖T‖∞‖x‖∞ + ‖b‖∞), worst
+    column."""
+    x2, b2 = x.reshape(len(b), -1), b.reshape(len(b), -1)
+    r = np.max(np.abs(b2 - dense @ x2), axis=0)
+    scale = (np.max(np.sum(np.abs(dense), axis=1))
+             * np.max(np.abs(x2), axis=0) + np.max(np.abs(b2), axis=0))
+    return float(np.max(r / scale))
+
+
+def _rel(a: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.max(np.abs(a - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("op_name", sorted(OPERATORS))
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("case", [c[0] for c in CASES])
+def test_plan_space(case, precision, tier, op_name):
+    kwargs = dict(CASES)[case]
+    op = OPERATORS[op_name]()
+    dense = op.dense()
+    rng = np.random.default_rng(7)
+    b = rng.standard_normal(op.order)
+    panel = rng.standard_normal((op.order, 3))
+
+    error = _expected_error(kwargs, precision, op_name, op)
+    if error is InvalidOptionError:
+        with pytest.raises(InvalidOptionError):
+            engine.plan(op, precision=precision, cache=tier, **kwargs)
+        return
+    pl = engine.plan(op, precision=precision, cache=tier, **kwargs)
+    if error is not None:
+        with pytest.raises(error):
+            engine.execute(pl, b)
+        return
+
+    fresh = engine.execute(pl, b)
+    assert not fresh.cache_hit
+    assert _eta(dense, fresh.x, b) <= 1e-10
+
+    cacheable = engine.get_algorithm(pl.algorithm).cacheable
+    again = engine.execute(pl, b)
+    if tier == "off":
+        assert not again.cache_hit
+        assert engine.default_cache().get(pl.cache_key()) is None
+    else:
+        assert again.cache_hit == cacheable
+        np.testing.assert_array_equal(again.x, fresh.x)
+
+    if tier == "persistent":
+        set_default_cache(FactorizationCache())     # a "restarted" process
+        disk = engine.execute(pl, b)
+        stored = case in STORED
+        assert disk.cache_hit == stored
+        if case == "gko":
+            assert _rel(disk.x, fresh.x) <= 1e-13
+        elif stored:
+            np.testing.assert_array_equal(disk.x, fresh.x)
+
+    res = engine.execute(pl, panel)
+    assert _eta(dense, res.x, panel) <= 1e-10
+    for j in range(panel.shape[1]):
+        single = engine.execute(pl, panel[:, j]).x
+        assert _rel(res.x[:, j], single) <= 1e-12

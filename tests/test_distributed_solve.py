@@ -34,13 +34,9 @@ from repro.parallel import (
     multiprocess_available,
     simulate_factorization,
     simulate_triangular_solve,
+    transport,
 )
-from repro.parallel.transport import (
-    SEGMENT_PREFIX,
-    SharedMemoryTransport,
-    available_transports,
-    get_transport,
-)
+from repro.parallel.transport import SEGMENT_PREFIX
 from repro.toeplitz import ar_block_toeplitz
 
 requires_mp = pytest.mark.skipif(
@@ -71,7 +67,7 @@ class TestSimulatedSolve:
         serial = schur_spd_factor(t)
         rhs = _rhs(t, k)
         pl = engine.plan(t, nproc=nproc, distribution_b=b,
-                         backend="simulated", use_cache=False)
+                         backend="simulated", cache="off")
         res = engine.execute(pl, rhs)
         np.testing.assert_allclose(res.x, serial.solve(rhs), atol=1e-10)
         route = res.detail.last_solve_backend
@@ -141,7 +137,7 @@ class TestMultiprocessSolve:
         serial = schur_spd_factor(t)
         rhs = _rhs(t, k)
         pl = engine.plan(t, nproc=nproc, distribution_b=b,
-                         backend="multiprocess", use_cache=False)
+                         backend="multiprocess", cache="off")
         res = engine.execute(pl, rhs)
         np.testing.assert_allclose(res.x, serial.solve(rhs), atol=1e-10)
         route = res.detail.last_solve_backend
@@ -210,7 +206,7 @@ class TestSolveFallback:
     def test_mp_unavailable_solve_falls_back(self, monkeypatch):
         t = ar_block_toeplitz(8, 3, seed=5)
         pl = engine.plan(t, nproc=2, backend="multiprocess",
-                         use_cache=False)
+                         cache="off")
         fact = factor_distributed(t, pl)
         monkeypatch.setenv("REPRO_MP_DISABLE", "1")
         b = np.ones(t.order)
@@ -223,7 +219,7 @@ class TestSolveFallback:
         """Blocked refinement drives the distributed solve path."""
         t = ar_block_toeplitz(8, 3, seed=9)
         pl = engine.plan(t, nproc=2, backend="simulated",
-                         use_cache=False)
+                         cache="off")
         fact = factor_distributed(t, pl)
         rhs = _rhs(t, 4)
         res = refine(fact, t, rhs)
@@ -238,7 +234,7 @@ class TestLookaheadSchedule:
         t = ar_block_toeplitz(10, 3, seed=2)
         serial = schur_spd_factor(t)
         pl = engine.plan(t, nproc=2, schedule="lookahead",
-                         backend="simulated", use_cache=False)
+                         backend="simulated", cache="off")
         res = engine.execute(pl, np.ones(t.order))
         np.testing.assert_allclose(t.matvec(res.x), np.ones(t.order),
                                    atol=1e-8)
@@ -310,27 +306,13 @@ class TestLookaheadSchedule:
 
 
 class TestTransportRegistry:
-    def test_shared_memory_registered(self):
-        assert "shared_memory" in available_transports()
-        tr = get_transport("shared_memory")
-        assert isinstance(tr, SharedMemoryTransport)
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(DistributionError):
-            get_transport("carrier_pigeon")
-        t = ar_block_toeplitz(6, 2, seed=1)
-        with pytest.raises(InvalidOptionError):
-            engine.plan(t, nproc=2, transport="carrier_pigeon")
-
     def test_transport_in_cache_key_fields(self):
         from repro.engine.plan import _PLAN_KEY_FIELDS
-        assert "transport" in _PLAN_KEY_FIELDS
         assert "schedule" in _PLAN_KEY_FIELDS
 
     @requires_mp
     def test_session_cleanup_tolerates_double_unlink(self):
-        tr = get_transport("shared_memory")
-        with tr.session() as sess:
+        with transport.session() as sess:
             _arr, handle = sess.ndarray((4, 4))
             assert handle.name.startswith(SEGMENT_PREFIX)
             sess.cleanup()   # explicit …
@@ -397,7 +379,7 @@ print("OK")
 class TestLogdetGuard:
     def test_valid_logdet_matches_dense(self):
         t = ar_block_toeplitz(8, 3, seed=3)
-        pl = engine.plan(t, nproc=2, use_cache=False)
+        pl = engine.plan(t, nproc=2, cache="off")
         fact = factor_distributed(t, pl)
         expected = np.linalg.slogdet(t.dense())[1]
         assert abs(fact.logdet() - expected) < 1e-8
@@ -405,7 +387,7 @@ class TestLogdetGuard:
     def test_nonpositive_diagonal_raises(self):
         """abs() used to mask a failed factorization — now it raises."""
         t = ar_block_toeplitz(8, 3, seed=3)
-        pl = engine.plan(t, nproc=2, use_cache=False)
+        pl = engine.plan(t, nproc=2, cache="off")
         fact = factor_distributed(t, pl)
         r00 = fact.packed.diagonal()[0]
         fact.packed.write_block(0, 0, np.array([[-r00]]))

@@ -174,6 +174,36 @@ class TestPlanObject:
         assert back == pl
         assert back.operator is t
 
+    #: ``to_dict()`` of ``plan(kms_toeplitz(16, 0.5)).with_(use_cache=
+    #: False)`` as written before the ``use_cache`` and ``transport``
+    #: fields were dropped.
+    OLD_PLAN_DICT = {
+        "algorithm": "spd-schur", "representation": "vy2",
+        "block_size": 1, "structural_block_size": 1, "order": 16,
+        "fingerprint": "f78b35c518a2368b1c91ee4e3d4d8962"
+                       "ebff4760923515130b62f494c86abbd1",
+        "assume": "auto", "fallback": "indefinite+refine", "panel": None,
+        "in_place": True, "perturb": True, "delta": None,
+        "use_cache": False, "cache": "memory", "nproc": 1,
+        "distribution_b": None, "backend": "simulated",
+        "schedule": "bulk", "transport": "shared_memory",
+        "precision": "fp64", "predicted_seconds": None, "note": ""}
+
+    def test_loads_plan_dict_with_dropped_fields(self, rng):
+        t = kms_toeplitz(16, 0.5)
+        pl = SolverPlan.from_dict(self.OLD_PLAN_DICT, operator=t)
+        assert pl.cache == "off"
+        assert pl == engine.plan(t, cache="off")
+        engine.execute(pl, rng.standard_normal(t.order))
+        assert len(engine.default_cache()) == 0
+        kept = dict(self.OLD_PLAN_DICT, use_cache=True)
+        assert SolverPlan.from_dict(kept).cache == "memory"
+
+    def test_old_plan_dict_with_other_transport_rejected(self):
+        d = dict(self.OLD_PLAN_DICT, transport="carrier_pigeon")
+        with pytest.raises(InvalidOptionError, match="transport"):
+            SolverPlan.from_dict(d)
+
     def test_plans_are_immutable(self):
         pl = engine.plan(kms_toeplitz(8, 0.5))
         with pytest.raises(AttributeError):
@@ -182,7 +212,7 @@ class TestPlanObject:
     def test_with_changes_cache_key(self):
         pl = engine.plan(kms_toeplitz(8, 0.5))
         assert pl.with_(panel=2).cache_key() != pl.cache_key()
-        assert pl.with_(use_cache=False).cache_key() == pl.cache_key()
+        assert pl.with_(cache="off").cache_key() == pl.cache_key()
 
     def test_toeplitz_block_normalized_with_note(self):
         gammas = np.zeros((3, 2, 2))
@@ -386,11 +416,20 @@ class TestCache:
     def test_use_cache_false_bypasses_default(self, rng):
         t = kms_toeplitz(16, 0.5)
         b = rng.standard_normal(t.order)
-        pl = engine.plan(t, use_cache=False)
+        pl = engine.plan(t, cache="off")
         engine.execute(pl, b)
         engine.execute(pl, b)
         s = engine.default_cache().stats()
         assert (s.hits, s.misses, s.entries) == (0, 0, 0)
+
+    def test_cache_off_via_with_leaves_default_empty(self, rng):
+        """The cache axis alone decides: a plan switched to
+        ``cache="off"`` after planning caches nothing either."""
+        t = kms_toeplitz(16, 0.5)
+        pl = engine.plan(t).with_(cache="off")
+        engine.execute(pl, rng.standard_normal(t.order))
+        assert len(engine.default_cache()) == 0
+        assert "cache           off" in pl.describe()
 
     def test_default_cache_used_otherwise(self, rng):
         t = kms_toeplitz(16, 0.5)

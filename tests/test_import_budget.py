@@ -86,6 +86,32 @@ def test_public_names_resolve(fresh_process):
     assert fresh_process["unresolved"] == []
 
 
+SERIAL_SOLVE = """
+import json, sys
+import numpy
+import repro.engine as engine
+from repro.toeplitz import kms_toeplitz
+t = kms_toeplitz(32, 0.5)
+engine.execute(engine.plan(t), numpy.ones(t.order))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[:2] == ["repro", "parallel"])))
+"""
+
+
+def test_serial_plan_and_execute_skip_parallel_package():
+    """A serial ``plan()`` + ``execute()`` loads no ``repro.parallel``
+    module: only distributed plans need it."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in (env.get("PYTHONPATH"),) if p])
+    proc = subprocess.run([sys.executable, "-c", SERIAL_SOLVE],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_next_fast_len_matches_scipy():
     import scipy.fft
 

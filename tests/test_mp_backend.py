@@ -86,7 +86,7 @@ class TestParity:
     def test_real_vs_simulated_same_plan(self):
         """Same plan, both backends: identical R."""
         t = ar_block_toeplitz(8, 4, seed=3)
-        pl = engine.plan(t, nproc=4, distribution_b=2, use_cache=False)
+        pl = engine.plan(t, nproc=4, distribution_b=2, cache="off")
         real = mp_factorization(t, plan=pl)
         sim = simulate_factorization(t, plan=pl)
         np.testing.assert_allclose(real.r, sim.r, atol=1e-10)
@@ -136,8 +136,8 @@ class TestSpawnStartMethod:
     @pytest.fixture
     def spawn(self, monkeypatch):
         import multiprocessing
-        from repro.parallel.transport import get_transport
-        monkeypatch.setattr(get_transport("shared_memory"), "context",
+        from repro.parallel import transport
+        monkeypatch.setattr(transport, "context",
                             lambda: multiprocessing.get_context("spawn"))
 
     @pytest.mark.parametrize("b", [1, 0.5])
@@ -188,6 +188,88 @@ class TestSmallRings:
             mp_factorization(ar_block_toeplitz(6, 3, seed=1), 2)
 
 
+class TestFailureReporting:
+    """A failing worker poisons the waits and aborts the barrier, so
+    its peers fail too; the parent reports the failure that started it,
+    not a lower rank's wake-up."""
+
+    class _InlineProcess:
+        """Runs the worker at ``start()``, in this process."""
+
+        def __init__(self, target, args, daemon):
+            self._target, self._args = target, args
+            self.exitcode = None
+
+        def start(self):
+            self._target(*self._args)
+            self.exitcode = 0
+
+        def join(self, timeout=None):
+            pass
+
+        def is_alive(self):
+            return False
+
+    def _run(self, payloads):
+        import queue
+        from types import SimpleNamespace
+
+        from repro.parallel import mp_backend
+        q = queue.Queue()
+
+        def worker(rank, nproc):
+            q.put((rank, payloads[rank]))
+
+        ctx = SimpleNamespace(Process=self._InlineProcess)
+        return mp_backend._run_workers(ctx, worker, len(payloads), (), q,
+                                       None)
+
+    def test_reports_the_cause_not_the_wake_ups(self):
+        payloads = [
+            {"ok": False, "kind": "aborted",
+             "error": "peer aborted while waiting for 'shift' from rank 1"},
+            {"ok": False, "kind": "error",
+             "error": "message of 2048 B exceeds the 64 B ring"},
+            {"ok": False, "kind": "aborted",
+             "error": "\nTraceback ...\nthreading.BrokenBarrierError\n"},
+        ]
+        with pytest.raises(DistributionError, match="exceeds"):
+            self._run(payloads)
+
+    def test_breakdown_reports_its_own_message(self):
+        payloads = [
+            {"ok": False, "kind": "aborted",
+             "error": "\nTraceback ...\nthreading.BrokenBarrierError\n"},
+            {"ok": False, "kind": "breakdown",
+             "error": "matrix is not positive definite at step 3\n..."},
+        ]
+        with pytest.raises(NotPositiveDefiniteError, match="step 3"):
+            self._run(payloads)
+
+    def test_worker_labels_wake_ups_aborted(self):
+        import queue
+        import threading
+
+        from repro.parallel import mp_backend
+
+        def poisoned_wait():
+            mp_backend._wait(lambda: False, [1], "a block")
+
+        def broken_barrier():
+            raise threading.BrokenBarrierError
+
+        def own_failure():
+            raise DistributionError("message of 96 B exceeds the 64 B ring")
+
+        q = queue.Queue()
+        kinds = []
+        for fail in (poisoned_wait, broken_barrier, own_failure):
+            with mp_backend._WorkerScope(0, q):
+                fail()
+            kinds.append(q.get_nowait()[1]["kind"])
+        assert kinds == ["aborted", "aborted", "error"]
+
+
 @requires_mp
 class TestEngineIntegration:
     def test_acceptance_nproc4(self):
@@ -195,7 +277,7 @@ class TestEngineIntegration:
         t = ar_block_toeplitz(8, 4, seed=9)
         serial = schur_spd_factor(t).r
         pl = engine.plan(t, nproc=4, backend="multiprocess",
-                         use_cache=False)
+                         cache="off")
         fres = engine.factor(pl)
         fact = fres.factorization
         assert fact.backend == "multiprocess"
@@ -206,7 +288,7 @@ class TestEngineIntegration:
         t = ar_block_toeplitz(6, 3, seed=11)
         b = np.ones(t.order)
         pl = engine.plan(t, nproc=2, backend="multiprocess",
-                         use_cache=False)
+                         cache="off")
         res = engine.execute(pl, b)
         assert res.algorithm == "spd-schur"
         np.testing.assert_allclose(t.matvec(res.x), b, atol=1e-8)
@@ -231,7 +313,7 @@ class TestEngineIntegration:
         with pytest.raises(NotPositiveDefiniteError):
             mp_factorization(t, 2)
         pl = engine.plan(t, nproc=2, backend="multiprocess",
-                         probe=False, use_cache=False)
+                         probe=False, cache="off")
         assert pl.algorithm == "spd-schur"
         fres = engine.factor(pl)
         assert fres.algorithm == "indefinite+refine"
@@ -254,7 +336,7 @@ class TestFallback:
         t = ar_block_toeplitz(8, 3, seed=4)
         serial = schur_spd_factor(t).r
         pl = engine.plan(t, nproc=2, backend="multiprocess",
-                         use_cache=False)
+                         cache="off")
         fact = factor_distributed(t, pl)
         assert fact.backend == "simulated"
         assert fact.requested_backend == "multiprocess"
@@ -266,7 +348,7 @@ class TestFallback:
         monkeypatch.setenv("REPRO_MP_DISABLE", "1")
         t = ar_block_toeplitz(6, 2, seed=8)
         pl = engine.plan(t, nproc=2, backend="multiprocess",
-                         use_cache=False)
+                         cache="off")
         fres = engine.factor(pl)
         assert fres.factorization.backend == "simulated"
         assert fres.factorization.fell_back
@@ -288,9 +370,9 @@ class TestMemory:
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads VmRSS from /proc")
     def test_fresh_segment_is_not_touched(self):
-        from repro.parallel.transport import get_transport
+        from repro.parallel import transport
         size = 64 << 20
-        with get_transport("shared_memory").session() as sess:
+        with transport.session() as sess:
             before = _vm_rss_bytes()
             arr, _ = sess.ndarray((size // 8,))
             grown = _vm_rss_bytes() - before
@@ -346,7 +428,7 @@ class TestTraceSchema:
     def test_worker_spans_merge_into_profile(self):
         t = ar_block_toeplitz(6, 3, seed=6)
         pl = engine.plan(t, nproc=2, backend="multiprocess",
-                         use_cache=False)
+                         cache="off")
         obs.enable()
         try:
             fres = engine.factor(pl)
@@ -383,7 +465,7 @@ class TestCli:
         np.save(mat, t.dense())
         rc = cli_main(["factor", str(mat), "--block-size", "3",
                        "--nproc", "2", "--backend", "multiprocess",
-                       "--no-cache"])
+                       "--cache", "off"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "backend=multiprocess" in out
@@ -397,7 +479,7 @@ class TestCli:
         np.save(rhs, np.ones(t.order))
         rc = cli_main(["solve", str(mat), str(rhs), "--block-size", "3",
                        "--nproc", "2", "--backend", "multiprocess",
-                       "--no-cache"])
+                       "--cache", "off"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "backend=simulated" in out

@@ -11,7 +11,7 @@ from scipy.linalg import lapack
 from repro.core import schur_indefinite_factor, schur_spd_factor
 from repro.core.packed import PackedUpper, packed_size
 from repro.errors import ShapeError
-from repro.parallel.transport import get_transport
+from repro.parallel import transport
 from repro.toeplitz import (
     ar_block_toeplitz,
     indefinite_toeplitz,
@@ -76,7 +76,7 @@ def _noisy(r):
 def _write_block_columns(handle, n, m, first, step):
     """Store block columns ``first, first + step, …`` of ``_upper(n)``
     into a shared packed buffer, one block at a time (fork target)."""
-    att = get_transport("shared_memory").attach(handle)
+    att = transport.attach(handle)
     try:
         r = _noisy(_upper(n, np.dtype(handle.dtype)))
         p = PackedUpper(att.array, n)
@@ -97,7 +97,7 @@ class TestBlockIO:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_round_trip_on_shared_memory(self, n, m, dtype):
         r = _upper(n, dtype)
-        with get_transport("shared_memory").session() as sess:
+        with transport.session() as sess:
             buf, _ = sess.ndarray((packed_size(n),), dtype=dtype)
             p = PackedUpper(buf, n)
             noisy = _noisy(r)
@@ -141,7 +141,7 @@ class TestBlockIO:
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs the fork start method")
         ctx = multiprocessing.get_context("fork")
-        with get_transport("shared_memory").session() as sess:
+        with transport.session() as sess:
             buf, handle = sess.ndarray((packed_size(n),), dtype=dtype)
             procs = [ctx.Process(target=_write_block_columns,
                                  args=(handle, n, m, first, 2))

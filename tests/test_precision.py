@@ -54,6 +54,18 @@ def _residual(t, x, b):
     return float(np.max(np.abs(r)) / np.max(np.abs(b)))
 
 
+def _ill_conditioned(n=96):
+    """cond ≈ 1e6: fails the fp32 admission test (1e6 · eps32 > 0.05)."""
+    from repro.toeplitz import SymmetricBlockToeplitz
+    col = 0.9999 ** np.arange(n) * np.cos(0.1 * np.arange(n))
+    col[0] = 1.0 + 1e-7
+    return SymmetricBlockToeplitz.from_first_row(col)
+
+
+#: Algorithms whose factor can run at reduced precision.
+ALGORITHMS_WITH_PRECISION = ("spd-schur", "indefinite+refine", "gko")
+
+
 # ----------------------------------------------------------------------
 # Helpers module
 # ----------------------------------------------------------------------
@@ -112,6 +124,14 @@ class TestAlgorithmRoundTrips:
         assert res.x.dtype == np.float64
         assert _residual(t, res.x, b) < 1e-10
 
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    def test_gs(self, precision):
+        t = kms_toeplitz(64, 0.6)
+        b = np.random.default_rng(2).standard_normal(t.order)
+        res = engine.solve(t, b, algorithm="gs", precision=precision)
+        assert res.x.dtype == np.float64
+        assert _residual(t, res.x, b) < 1e-10
+
     @pytest.mark.parametrize("in_dtype",
                              [np.float32, np.float64, np.int64])
     @pytest.mark.parametrize("algorithm", sorted(engine.algorithms()))
@@ -141,7 +161,7 @@ class TestAlgorithmRoundTrips:
 
         def raw_err(precision):
             pl = engine.plan(t, assume="spd", precision=precision,
-                             use_cache=False)
+                             cache="off")
             f = engine.factor(pl).factorization
             r = np.asarray(f.r, dtype=np.float64)
             return float(np.max(np.abs(r.T @ r - d)))
@@ -206,7 +226,7 @@ class TestAdmissionAndRecovery:
         col[0] = 1.0 + 1e-7
         t = SymmetricBlockToeplitz.from_first_row(col)
         pl = engine.plan(t, assume="spd", precision="fp32",
-                         use_cache=False)
+                         cache="off")
         fact = engine.factor(pl).factorization
         assert fact.precision == "fp64"
         assert np.dtype(fact.dtype) == np.float64
@@ -221,6 +241,60 @@ class TestAdmissionAndRecovery:
         assert detail.converged_precision == "fp64"
         assert detail.factor_dtype == working_dtype(precision).name
         assert detail.iterations >= 1
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS_WITH_PRECISION)
+    def test_rejected_admission_caches_fp64(self, algorithm):
+        """Every precision-capable algorithm rejects an fp32 factor of a
+        cond ≈ 1e6 operator and caches the fp64 refactorization."""
+        t = _ill_conditioned()
+        cache = FactorizationCache()
+        pl = engine.plan(t, algorithm=algorithm, precision="fp32")
+        b = np.random.default_rng(5).standard_normal(t.order)
+        res = engine.execute(pl, b, cache=cache)
+        cached = cache.get(pl.cache_key())
+        assert cached.precision == "fp64"
+        assert np.dtype(cached.dtype) == np.float64
+        assert res.record.factor_dtype == "float64"
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS_WITH_PRECISION)
+    def test_solve_time_stall_refactors_fp64(self, algorithm, monkeypatch):
+        """Refinement that stalls over an admitted fp32 factor: the
+        engine refactors at fp64 outside the cache and solves with that
+        factor through the algorithm's own solve."""
+        from repro.core import refinement
+        real_refine = refinement.refine
+
+        def stalling_refine(fact, t, b, **kwargs):
+            res = real_refine(fact, t, b, **kwargs)
+            if getattr(fact, "precision", "fp64") != "fp64":
+                res.converged = False
+            return res
+
+        monkeypatch.setattr(refinement, "refine", stalling_refine)
+        t = (_nonsymmetric() if algorithm == "gko"
+             else ar_block_toeplitz(8, 2, seed=2))
+        b = np.random.default_rng(6).standard_normal(t.order)
+        cache = FactorizationCache()
+        pl = engine.plan(t, algorithm=algorithm, precision="fp32")
+        res = engine.execute(pl, b, cache=cache)
+        oracle = np.linalg.solve(t.dense(), b)
+        assert (np.max(np.abs(res.x - oracle))
+                <= 1e-10 * np.max(np.abs(oracle)))
+        # The cache keeps the admitted fp32 factor.
+        assert cache.get(pl.cache_key()).precision == "fp32"
+        rec = res.record
+        assert (rec.algorithm, rec.precision) == (algorithm, "fp32")
+        assert rec.factor_dtype == "float64"
+        assert not rec.fallback_used and not rec.cache_hit
+        detail = res.detail
+        if algorithm == "indefinite+refine":
+            assert isinstance(detail, refinement.RefinementResult)
+            assert detail.factor_dtype == "float64"
+            assert rec.refine_sweeps == detail.iterations
+        else:
+            assert detail.precision == "fp64"
+            assert np.dtype(detail.dtype) == np.float64
+            assert rec.refine_sweeps is None
 
     def test_refinement_tol_tracks_dtype(self):
         """A float32 target keeps the default tolerance at fp32 level;

@@ -394,7 +394,6 @@ class TestServeCLI:
         assert rc == 0
         assert "precision       fp64" in out
         assert "schedule        bulk" in out
-        assert "transport       shared_memory" in out
 
 
 class TestAdaptiveWait:
