@@ -16,8 +16,6 @@ through one uniform plan/execute interface — the comparison benchmarks
 iterate that registry instead of hard-wiring call sites.
 """
 
-import numpy as np
-
 from repro.baselines.levinson import block_levinson_solve, LevinsonResult
 from repro.baselines.dense_chol import (
     dense_cholesky_solve,
@@ -30,6 +28,7 @@ from repro.baselines.circulant import (
     tchan_preconditioner,
     circulant_pcg,
 )
+from repro.utils.lintools import as_panel, from_panel
 
 __all__ = [
     "block_levinson_solve",
@@ -84,15 +83,12 @@ def _pcg_factor(op, pl):
 
 def _pcg_solve(op, b, pl, fact, *, tol: float = 1e-12,
                max_iter: int | None = None, **_kwargs):
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim == 1:
-        res = pcg(op, b, preconditioner=fact, tol=tol, max_iter=max_iter)
-        return res.x, res
-    # Panel RHS: one block-CG run over all columns (batched matvecs,
-    # batched preconditioner solves) instead of a per-column loop.
-    res = pcg_block(op, b, preconditioner=fact, tol=tol,
+    # One block-CG run over all columns (batched matvecs, batched
+    # preconditioner solves); a vector is a one-column panel.
+    panel, single = as_panel(b)
+    res = pcg_block(op, panel, preconditioner=fact, tol=tol,
                     max_iter=max_iter)
-    return res.x, res
+    return from_panel(res.x, single), res
 
 
 def _register_engine_algorithms() -> None:

@@ -63,18 +63,22 @@ class CirculantPreconditioner:
     def order(self) -> int:
         return self._n
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``C x`` via FFT."""
-        return np.fft.irfft(self.eigenvalues * np.fft.rfft(x, n=self._n),
-                            n=self._n)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """``C⁻¹ b`` via FFT — ``O(n log n)``."""
+    def _diagonalized(self, b: np.ndarray, op) -> np.ndarray:
+        """``F⁻¹ op(F b, λ)`` along axis 0, for a vector or a panel."""
         b = np.asarray(b, dtype=np.float64)
         if b.shape[0] != self._n:
             raise ShapeError(f"b has {b.shape[0]} rows, expected {self._n}")
-        return np.fft.irfft(np.fft.rfft(b, n=self._n) / self.eigenvalues,
-                            n=self._n)
+        lam = self.eigenvalues.reshape((-1,) + (1,) * (b.ndim - 1))
+        return np.fft.irfft(op(np.fft.rfft(b, n=self._n, axis=0), lam),
+                            n=self._n, axis=0)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``C X`` via FFT, for a vector or an ``n × k`` panel."""
+        return self._diagonalized(x, np.multiply)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``C⁻¹ B`` via FFT — ``O(n log n)`` per column."""
+        return self._diagonalized(b, np.divide)
 
     def dense(self) -> np.ndarray:
         """Dense circulant (diagnostics)."""

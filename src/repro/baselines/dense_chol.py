@@ -57,7 +57,7 @@ def dense_ldl_solve(t, b: np.ndarray) -> np.ndarray:
     y = sla.solve_triangular(lp, b[perm], lower=True, unit_diagonal=True,
                              check_finite=False)
     # D is block diagonal with 1×1 / 2×2 blocks.
-    z = np.linalg.solve(d, y) if y.ndim == 1 else np.linalg.solve(d, y)
+    z = np.linalg.solve(d, y)
     w = sla.solve_triangular(lp.T, z, lower=False, unit_diagonal=True,
                              check_finite=False)
     x = np.empty_like(w)

@@ -11,13 +11,14 @@ for the operator.  With the ``Rᵀ D R`` preconditioner the preconditioned
 operator is a tiny perturbation of the identity, so CG converges in a
 handful of iterations even for (mildly) indefinite ``T``.
 
-:func:`pcg_block` is the multi-RHS variant (O'Leary's block CG): the
-whole panel shares each fast matvec, each factored preconditioner solve
-and the ``k × k`` recurrence algebra, so the per-iteration work is
-level-3 shaped.  Converged columns are deflated out of the active block,
-and the small Gram systems are solved rank-revealingly (eigenvalue
+There is one CG loop, :func:`pcg_block` (O'Leary's block CG): the whole
+panel shares each fast matvec, each factored preconditioner solve and
+the ``k × k`` recurrence algebra, so the per-iteration work is level-3
+shaped.  Converged columns are deflated out of the active block, and
+the small Gram systems are solved rank-revealingly (eigenvalue
 thresholding) so near-dependent search directions degrade gracefully
 instead of dividing by ~0 — the classical block-CG breakdown mode.
+:func:`pcg` runs it on a vector as a one-column panel.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ class BlockPCGResult:
     x: np.ndarray
     iterations: int
     converged: bool
-    #: worst still-active column ‖r_j‖₂ after each iteration
+    #: worst ‖r_j‖₂ over the columns that entered each iteration, taken
+    #: before deflation (index 0: the initial residual)
     residual_norms: list[float] = field(default_factory=list)
     nrhs: int = 0
     matvecs: int = 0
@@ -82,6 +84,9 @@ def pcg(t: SymmetricBlockToeplitz, b: np.ndarray, *,
         tol: float = 1e-12, max_iter: int | None = None,
         raise_on_fail: bool = False) -> PCGResult:
     """Solve ``T x = b`` by (preconditioned) conjugate gradients.
+
+    Runs :func:`pcg_block` on ``b`` as a one-column panel and returns
+    its result with a 1-D ``x``.
 
     Parameters
     ----------
@@ -111,69 +116,13 @@ def pcg(t: SymmetricBlockToeplitz, b: np.ndarray, *,
             "across the panel")
     if b.shape != (n,):
         raise ShapeError(f"b must have shape ({n},), got {b.shape}")
-    if max_iter is None:
-        max_iter = 2 * n
-    emb = BlockCirculantEmbedding(t)
-    res = PCGResult(x=np.zeros(n), iterations=0, converged=False)
-
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        res.converged = True
-        return res
-    traced = obs.enabled()
-    residual_gauge = obs.default_registry().gauge(
-        "repro_pcg_residual",
-        "‖b − T x‖₂ after the most recent PCG iteration"
-    ) if traced else None
-    with obs.span("pcg", order=n, tol=tol, max_iter=max_iter,
-                  preconditioned=preconditioner is not None) as sp:
-        x = np.zeros(n)
-        r = b.copy()
-        if preconditioner is not None:
-            z = preconditioner.solve(r)
-            res.precond_solves += 1
-        else:
-            z = r.copy()
-        p = z.copy()
-        rz = float(r @ z)
-        res.residual_norms.append(float(np.linalg.norm(r)))
-        if traced:
-            residual_gauge.set(res.residual_norms[0])
-        for it in range(1, max_iter + 1):
-            ap = emb(p)
-            res.matvecs += 1
-            pap = float(p @ ap)
-            if pap == 0.0:
-                break
-            alpha = rz / pap
-            x += alpha * p
-            r -= alpha * ap
-            rnorm = float(np.linalg.norm(r))
-            res.residual_norms.append(rnorm)
-            res.iterations = it
-            if traced:
-                residual_gauge.set(rnorm)
-            if rnorm <= tol * bnorm:
-                res.converged = True
-                break
-            if preconditioner is not None:
-                z = preconditioner.solve(r)
-                res.precond_solves += 1
-            else:
-                z = r.copy()
-            rz_new = float(r @ z)
-            beta = rz_new / rz if rz != 0.0 else 0.0
-            p = z + beta * p
-            rz = rz_new
-        sp.set(iterations=res.iterations, converged=res.converged,
-               matvecs=res.matvecs, precond_solves=res.precond_solves)
-    res.x = x
-    if not res.converged and raise_on_fail:
-        raise ConvergenceError(
-            f"PCG failed to reach tol={tol} in {res.iterations} iterations",
-            iterations=res.iterations,
-            residual=res.residual_norms[-1])
-    return res
+    res = pcg_block(t, b[:, None], preconditioner=preconditioner, tol=tol,
+                    max_iter=max_iter, raise_on_fail=raise_on_fail)
+    return PCGResult(x=res.x[:, 0], iterations=res.iterations,
+                     converged=res.converged,
+                     residual_norms=res.residual_norms,
+                     matvecs=res.matvecs,
+                     precond_solves=res.precond_solves)
 
 
 def _solve_gram_rr(g: np.ndarray, s: np.ndarray,
@@ -236,7 +185,7 @@ def pcg_block(t: SymmetricBlockToeplitz, b: np.ndarray, *,
         "repro_pcg_residual",
         "‖b − T x‖₂ after the most recent PCG iteration"
     ) if traced else None
-    with obs.span("pcg_block", order=n, nrhs=k, tol=tol,
+    with obs.span("pcg", order=n, nrhs=k, tol=tol,
                   max_iter=max_iter,
                   preconditioned=preconditioner is not None) as sp:
         x = res.x
@@ -265,6 +214,9 @@ def pcg_block(t: SymmetricBlockToeplitz, b: np.ndarray, *,
             r -= ap @ alpha
             rnorm = np.linalg.norm(r, axis=0)
             res.iterations = it
+            res.residual_norms.append(float(np.max(rnorm)))
+            if traced:
+                residual_gauge.set(res.residual_norms[-1])
             done = rnorm <= tol * bnorm[active]
             col_iter[active[done]] = it
             if np.any(done):
@@ -274,11 +226,6 @@ def pcg_block(t: SymmetricBlockToeplitz, b: np.ndarray, *,
                 r = np.ascontiguousarray(r[:, live])
                 p = np.ascontiguousarray(p[:, live])
                 s = np.ascontiguousarray(s[np.ix_(live, live)])
-                rnorm = rnorm[live]
-            if traced and rnorm.size:
-                residual_gauge.set(float(np.max(rnorm)))
-            if rnorm.size:
-                res.residual_norms.append(float(np.max(rnorm)))
             if active.size == 0:
                 res.converged = True
                 break

@@ -137,9 +137,11 @@ def toeplitz_inverse(t: SymmetricBlockToeplitz, *,
         raise ShapeError(
             "Gohberg–Semencul inversion implemented for scalar (m = 1) "
             "symmetric Toeplitz matrices")
-    from repro.core.solve import solve
+    from repro.engine import solve
     validate_precision(precision)
     e0 = np.zeros(t.order)
     e0[0] = 1.0
-    x = solve(t, e0, precision=precision)
+    # Uncached: the ToeplitzInverse is what callers keep (the "gs" plan
+    # caches it under its own key), not the O(n²) factor behind x.
+    x = solve(t, e0, cache="off", precision=precision).x
     return ToeplitzInverse(x, dtype=working_dtype(precision))

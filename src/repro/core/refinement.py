@@ -1,4 +1,4 @@
-"""Iterative refinement (Section 8.1), scalar and blocked.
+"""Iterative refinement (Section 8.1), one blocked sweep for every shape.
 
 Given an (approximate) factorization of ``T + δT`` and the *original*
 ``T``, the loop
@@ -16,14 +16,20 @@ Residuals are computed with the FFT fast matvec
 per iteration, which is why refinement is much cheaper per step than the
 preconditioned conjugate-gradient alternative it is compared against.
 
-For a panel ``B ∈ R^{n×k}`` the loop is *blocked*: every sweep does one
-factored panel solve (a level-3 pair of ``dtrsm`` calls) and one batched
-FFT matvec for all still-active columns, with a per-column convergence
-mask — converged columns stop accumulating work while stragglers
-continue.  This is the solve-phase instance of the paper's Section 6.5
-lesson (trade loop iterations for level-3 kernel shape):
-:attr:`RefinementResult.solve_calls` counts factored solves, which drop
-from ``Σ_j (1 + it_j)`` (per-column driving) to ``1 + max_j it_j``.
+The loop runs on an ``n × k`` panel; a vector ``b`` is a one-column
+panel.  Every sweep does one factored panel solve (a level-3 pair of
+``dtrsm`` calls) and one batched FFT matvec for all still-active
+columns, with a per-column convergence mask — converged columns stop
+accumulating work while stragglers continue.  This is the solve-phase
+instance of the paper's Section 6.5 lesson (trade loop iterations for
+level-3 kernel shape): :attr:`RefinementResult.solve_calls` counts
+factored solves, which drop from ``Σ_j (1 + it_j)`` (per-column
+driving) to ``1 + max_j it_j``.
+
+Schur-type factors are only weakly stable (Bojanczyk, Brent and de
+Hoog), so the loop reports convergence only when it reached it: a
+correction that stops halving counts as the rounding floor only when it
+is itself rounding-sized.
 """
 
 from __future__ import annotations
@@ -33,11 +39,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 import repro.obs as obs
-from repro.errors import ShapeError
 from repro.obs import health
 from repro.toeplitz.block_toeplitz import SymmetricBlockToeplitz
 from repro.toeplitz.matvec import BlockCirculantEmbedding
-from repro.utils.lintools import as_panel
+from repro.utils.lintools import as_panel, from_panel
 
 __all__ = ["RefinementResult", "refine"]
 
@@ -54,10 +59,11 @@ class RefinementResult:
         Number of correction sweeps actually computed (for a panel: the
         worst column; see ``per_column_iterations``).
     converged : bool
-        True when the stopping rule ``‖Δx‖ < tol·‖x‖`` fired (or the
-        correction stagnated at rounding level) — for a panel, in every
-        column.  A correction that stops shrinking while the residual
-        grows is divergence and reports ``False``.
+        True when the stopping rule ``‖Δx‖ < tol·‖x‖`` fired, or the
+        correction stopped halving at rounding size
+        (``‖Δx‖ ≤ √tol·‖x‖``) — for a panel, in every column.  A
+        correction of real size that stops halving reports ``False``,
+        whether the residual grew or held.
     residual_norms : list of float
         ``‖b − T x_i‖₂`` after each iterate (index 0 = initial solve).
         For a panel each entry is the worst per-column 2-norm.
@@ -130,9 +136,10 @@ def refine(factorization, t: SymmetricBlockToeplitz, b: np.ndarray, *,
     t : SymmetricBlockToeplitz
         The original, unperturbed matrix (drives the residuals).
     b : array
-        Right-hand side: a vector, or an ``n × k`` panel — the panel
-        runs the blocked sweep (one factored panel solve + one batched
-        FFT matvec per iteration, per-column convergence mask).
+        Right-hand side: a vector, or an ``n × k`` panel.  Both run the
+        blocked sweep (one factored panel solve + one batched FFT
+        matvec per iteration, per-column convergence mask); a vector is
+        a one-column panel, and the result keeps its 1-D shape.
     tol : float
         Relative correction tolerance; defaults to ``4·ε`` of the
         *target* dtype — the wider of ``b``'s floating dtype and the
@@ -143,7 +150,8 @@ def refine(factorization, t: SymmetricBlockToeplitz, b: np.ndarray, *,
         toward an unreachable ``4·ε₆₄``.
     max_iter : int
         Refinement step cap; the loop also stops when corrections stop
-        shrinking (rounding floor reached).
+        halving (converged only at the rounding floor, see
+        :attr:`RefinementResult.converged`).
 
     Notes
     -----
@@ -151,108 +159,50 @@ def refine(factorization, t: SymmetricBlockToeplitz, b: np.ndarray, *,
     matvec are what make reduced-precision recovery work); only the
     factored solves run at the factorization's dtype.
     """
-    b_in = np.asarray(b)
+    b = np.asarray(b)
     factor_dtype = np.dtype(getattr(factorization, "dtype", np.float64))
     if tol is None:
-        b_target = b_in.dtype if b_in.dtype.kind == "f" else np.float64
+        b_target = b.dtype if b.dtype.kind == "f" else np.float64
         target = np.result_type(b_target, factor_dtype)
         tol = 4.0 * float(np.finfo(target).eps)
-    b = b_in.astype(np.float64, copy=False)
-    n = t.order
-    if b.shape[0] != n:
-        raise ShapeError(f"b has {b.shape[0]} rows, expected {n}")
-    emb = BlockCirculantEmbedding(t)
-    if b.ndim == 2:
-        return _refine_block(factorization, emb, b, tol=tol,
-                             max_iter=max_iter, keep_history=keep_history,
-                             factor_dtype=factor_dtype.name)
-    traced = obs.enabled()
-    residual_gauge = obs.default_registry().gauge(
-        "repro_refinement_residual",
-        "‖b − T x‖₂ after the most recent refinement iterate"
-    ) if traced else None
-    with obs.span("refine", max_iter=max_iter, tol=tol) as sp:
-        with obs.span("refine.initial_solve"):
-            x = np.asarray(factorization.solve(b), dtype=np.float64)
-        solve_calls = 1
-        r = b - emb(x)
-        res_norms = [float(np.linalg.norm(r))]
-        if traced:
-            residual_gauge.set(res_norms[0], iteration="0")
-        corr_norms: list[float] = []
-        history: list[np.ndarray] = [x.copy()] if keep_history else []
-        converged = False
-        for it in range(max_iter):
-            with obs.span("refine.iteration", i=it + 1):
-                dx = factorization.solve(r)
-                solve_calls += 1
-                dx_norm = float(np.linalg.norm(dx))
-                x_norm = float(np.linalg.norm(x))
-                corr_norms.append(dx_norm)
-                if dx_norm < tol * max(x_norm, 1e-300):
-                    converged = True
-                    break
-                x = x + dx
-                r = b - emb(x)
-                res_norms.append(float(np.linalg.norm(r)))
-                if traced:
-                    residual_gauge.set(res_norms[-1])
-                    residual_gauge.set(res_norms[-1],
-                                       iteration=str(it + 1))
-            if keep_history:
-                history.append(x.copy())
-            # Stagnation: corrections no longer shrinking.
-            if len(corr_norms) >= 2 and dx_norm > 0.5 * corr_norms[-2]:
-                converged = bool(_at_floor(res_norms[-1], res_norms[-2],
-                                           dx_norm, x_norm, tol))
-                break
-        sp.set(iterations=len(corr_norms), converged=converged,
-               final_residual=res_norms[-1])
-        if traced:
-            health.record_refinement(res_norms, converged)
-    return RefinementResult(
-        x=x,
-        iterations=len(corr_norms),
-        converged=converged,
-        residual_norms=res_norms,
-        correction_norms=corr_norms,
-        history=history,
-        nrhs=1,
-        solve_calls=solve_calls,
-        solve_columns=solve_calls,
-        factor_dtype=factor_dtype.name,
-        tol=tol,
-    )
+    panel, single = as_panel(b, t.order)
+    res = _refine_block(factorization, BlockCirculantEmbedding(t), panel,
+                        tol=tol, max_iter=max_iter,
+                        keep_history=keep_history,
+                        factor_dtype=factor_dtype.name)
+    if single:
+        res.x = from_panel(res.x, single)
+        res.history = [from_panel(h, single) for h in res.history]
+        res.per_column_iterations = None
+    return res
 
 
-def _at_floor(res_after, res_before, dx_norm, x_norm, tol):
+def _at_floor(dx_norm, x_norm, tol):
     """Whether a correction that failed to halve hit the rounding floor.
 
-    It did when the residual held, or when the correction is already
-    rounding-sized (``‖Δx‖ ≤ √tol·‖x‖``), where residual changes are
-    noise.  A residual that grew under a correction of real size means
-    the iteration diverges (``γ = ‖ΔT T⁻¹‖ > 1``), not that it
-    converged.  Works elementwise on per-column arrays.
+    Only a rounding-sized correction (``‖Δx‖ ≤ √tol·‖x‖``) is the floor.
+    A correction of real size that stops halving means the iteration
+    does not contract (``γ = ‖ΔT T⁻¹‖`` near or above 1), whether the
+    residual grew or merely held, so the column has not converged.
+    Works elementwise on per-column arrays.
     """
-    return ((res_after <= res_before)
-            | (dx_norm <= np.sqrt(tol) * x_norm))
+    return dx_norm <= np.sqrt(tol) * x_norm
 
 
 def _refine_block(factorization, emb: BlockCirculantEmbedding,
                   b: np.ndarray, *, tol: float, max_iter: int,
                   keep_history: bool,
                   factor_dtype: str = "float64") -> RefinementResult:
-    """Blocked sweep over an ``n × k`` panel with a per-column mask.
+    """The refinement sweep over a C-contiguous ``n × k`` panel.
 
-    Column semantics match the scalar loop exactly: a column whose
-    correction passes the tolerance test converges *without* that
-    correction applied; a column whose correction stops shrinking
-    (after ≥ 2 corrections) stops *with* it applied, converged when
-    :func:`_at_floor` says it reached the rounding floor.  Only
-    still-active columns enter the factored solve and the residual
-    matvec of later sweeps.
+    A column whose correction passes the tolerance test converges
+    *without* that correction applied; a column whose correction stops
+    shrinking (after ≥ 2 corrections) stops *with* it applied,
+    converged when :func:`_at_floor` says it reached the rounding
+    floor.  Only still-active columns enter the factored solve and the
+    residual matvec of later sweeps.  ``history`` gains an entry at
+    each sweep that changed ``x``.
     """
-    b, _ = as_panel(b)
     k = b.shape[1]
     traced = obs.enabled()
     residual_gauge = obs.default_registry().gauge(
@@ -290,7 +240,6 @@ def _refine_block(factorization, emb: BlockCirculantEmbedding,
                 small = dx_norm < tol * np.maximum(x_norm, 1e-300)
                 converged_mask[active[small]] = True
                 apply_cols = active[~small]
-                res_before = col_res[apply_cols]
                 if apply_cols.size:
                     x[:, apply_cols] += dx[:, ~small]
                     r[:, apply_cols] = (b[:, apply_cols]
@@ -302,6 +251,8 @@ def _refine_block(factorization, emb: BlockCirculantEmbedding,
                         residual_gauge.set(res_norms[-1])
                         residual_gauge.set(res_norms[-1],
                                            iteration=str(it + 1))
+                    if keep_history:
+                        history.append(x.copy())
                 # Stagnation: correction no longer shrinking; the
                 # column stops *with* the correction applied.
                 applied_norm = dx_norm[~small]
@@ -309,11 +260,8 @@ def _refine_block(factorization, emb: BlockCirculantEmbedding,
                         & (applied_norm > 0.5 * prev_corr[apply_cols]))
                 prev_corr[apply_cols] = applied_norm
                 converged_mask[apply_cols[stag]] = _at_floor(
-                    col_res[apply_cols], res_before, applied_norm,
-                    x_norm[~small], tol)[stag]
+                    applied_norm, x_norm[~small], tol)[stag]
                 active = apply_cols[~stag]
-            if keep_history:
-                history.append(x.copy())
         converged = bool(np.all(converged_mask))
         sp.set(iterations=len(corr_norms), converged=converged,
                final_residual=res_norms[-1], solve_calls=solve_calls,

@@ -17,14 +17,18 @@ Implements the three-phase loop of Sections 5–6:
    implementation must do) is kept behind ``in_place=False`` and tested
    equal.
 
-The factorization satisfies ``T = Rᵀ R`` with ``R`` upper triangular
-(eq. 8); ``L = Rᵀ`` is the Cholesky factor.
+The loop is written once, as a generator of the block rows of ``R``:
+:func:`schur_spd_factor` stores each row in packed form and
+:func:`repro.core.streaming.iter_r_block_rows` streams the same rows
+without storing them.  The factorization satisfies ``T = Rᵀ R`` with
+``R`` upper triangular (eq. 8); ``L = Rᵀ`` is the Cholesky factor.
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -410,19 +414,10 @@ def schur_spd_factor(t: SymmetricBlockToeplitz | Generator, *,
         leading principal minor of ``T`` is not positive.
     """
     opts = options or SchurOptions()
-    wd = working_dtype(opts.precision)
-    with obs.span("schur.generator"):
-        if isinstance(t, Generator):
-            g = t.copy()
-        else:
-            g = spd_generator(t, dtype=wd)
-        # A precomputed generator (or a "mixed" plan) may still be in the
-        # wrong storage dtype; round it once here, before elimination.
-        if g.gen.dtype != wd:
-            g = g.astype(wd)
+    g = _working_generator(t, opts)
     m, p = g.block_size, g.num_blocks
     n = m * p
-    r = PackedUpper.zeros(n, dtype=wd)
+    r = PackedUpper.zeros(n, dtype=g.gen.dtype)
     collected: list[BlockReflector] | None = [] if keep_reflectors else None
     with ExitStack() as stack:
         sp = stack.enter_context(obs.span(
@@ -432,14 +427,8 @@ def schur_spd_factor(t: SymmetricBlockToeplitz | Generator, *,
         # Measured per-category flops ride on the span (obs runs only).
         counter = (stack.enter_context(blas.counting())
                    if obs.enabled() else None)
-        try:
-            if opts.in_place:
-                _factor_in_place(g, r, opts, collected)
-            else:
-                _factor_with_shift(g, r, opts, collected)
-        except BreakdownError as exc:
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite: {exc}") from exc
+        for i, upper in _block_rows(g, opts, collected):
+            r.write_rows(i * m, upper)
         if counter is not None:
             sp.set(counted_flops=counter.total,
                    counted_flops_by_phase=dict(counter.by_category))
@@ -452,58 +441,76 @@ def schur_spd_factor(t: SymmetricBlockToeplitz | Generator, *,
                             precision=opts.precision)
 
 
-def _factor_in_place(g: Generator, r: PackedUpper, opts: SchurOptions,
-                     collected: list[BlockReflector] | None) -> None:
-    """Shift-free variant: apply ``U`` to offset views (Section 6.4)."""
+def _working_generator(t: SymmetricBlockToeplitz | Generator,
+                       opts: SchurOptions) -> Generator:
+    """The displacement generator of ``t`` (a private copy when ``t`` is
+    one) in the working dtype of ``opts.precision``."""
+    wd = working_dtype(opts.precision)
+    with obs.span("schur.generator"):
+        if isinstance(t, Generator):
+            g = t.copy()
+        else:
+            g = spd_generator(t, dtype=wd)
+        # A precomputed generator (or a "mixed" plan) may still be in the
+        # wrong storage dtype; round it once here, before elimination.
+        if g.gen.dtype != wd:
+            g = g.astype(wd)
+    return g
+
+
+def _block_rows(g: Generator, opts: SchurOptions,
+                collected: list[BlockReflector] | None = None
+                ) -> Iterator[tuple[int, np.ndarray]]:
+    """Eliminate ``g`` in place, yielding ``(i, R[i·m:(i+1)·m, i·m:])``.
+
+    The one Schur loop: :func:`schur_spd_factor` stores each yield and
+    :func:`repro.core.streaming.iter_r_block_rows` streams it.  Each
+    ``m × (n − i·m)`` row is a live view into ``g``, valid until the
+    next step; rounding residue below its diagonal is not part of
+    ``R``.  Phase 3 is the shift-free in-place update of Section 6.4
+    (``U`` applied to offset views) or, with ``in_place=False``, the
+    explicit shift a distributed-memory implementation must do.
+
+    Raises
+    ------
+    NotPositiveDefiniteError
+        When a pivot's hyperbolic norm certifies a non-positive leading
+        principal minor.
+    """
     m, p = g.block_size, g.num_blocks
     n = m * p
     elim = (elimination_dtype(opts.precision)
             if opts.precision == "mixed" else None)
-    top = g.gen[:m]
-    bot = g.gen[m:]
-    flush_tiny(g.gen)
-    r.write_rows(0, top)
+    top, bot = g.gen[:m], g.gen[m:]
+    # The in-place variant flushes against the whole generator's scale,
+    # the shift variant against each row's own.
+    if opts.in_place:
+        flush_tiny(g.gen)
+    else:
+        flush_tiny(top)
+        flush_tiny(bot)
+    yield 0, top
     step = ColumnStep(g.w, g.gen.dtype, breakdown_tol=opts.breakdown_tol,
                       elim_dtype=elim)
     for i in range(1, p):
-        q = n - i * m
-        upper = top[:, :q]
+        if opts.in_place:
+            upper = top[:, :n - i * m]
+        else:
+            # Phase 3 (of the previous step): shift the upper row one
+            # block right; the live width shrinks by one block each step.
+            top[:, m:] = top[:, :-m]
+            top[:, :m] = 0.0
+            blas.charge(0, "shift")
+            upper = top[:, i * m:]
         lower = bot[:, i * m:]
-        _eliminate(step, upper, lower, opts.representation, opts.panel,
-                   opts.normalize_diagonal, collected)
+        try:
+            _eliminate(step, upper, lower, opts.representation, opts.panel,
+                       opts.normalize_diagonal, collected)
+        except BreakdownError as exc:
+            raise NotPositiveDefiniteError(
+                f"matrix is not positive definite: {exc}") from exc
         # fp32: keep the decaying generator out of the subnormal range
         # (an sgemm over subnormals runs ~30× slower than a normal one).
         flush_tiny(upper)
         flush_tiny(lower)
-        r.write_rows(i * m, upper)
-
-
-def _factor_with_shift(g: Generator, r: PackedUpper, opts: SchurOptions,
-                       collected: list[BlockReflector] | None) -> None:
-    """Explicit Phase-3 shift variant (the distributed-memory shape)."""
-    m, p = g.block_size, g.num_blocks
-    n = m * p
-    elim = (elimination_dtype(opts.precision)
-            if opts.precision == "mixed" else None)
-    top = np.array(g.gen[:m])
-    bot = np.array(g.gen[m:])
-    flush_tiny(top)
-    flush_tiny(bot)
-    r.write_rows(0, top)
-    step = ColumnStep(g.w, top.dtype, breakdown_tol=opts.breakdown_tol,
-                      elim_dtype=elim)
-    for i in range(1, p):
-        q = n - i * m
-        # Phase 3 (of the previous step): shift the upper row one block
-        # right; the live width shrinks by one block each step.
-        top[:, m:] = top[:, :-m]
-        top[:, :m] = 0.0
-        blas.charge(0, "shift")
-        upper = top[:, i * m:]
-        lower = bot[:, i * m:]
-        assert upper.shape == (m, q) and lower.shape == (m, q)
-        _eliminate(step, upper, lower, opts.representation, opts.panel,
-                   opts.normalize_diagonal, collected)
-        flush_tiny(upper)
-        flush_tiny(lower)
-        r.write_rows(i * m, upper)
+        yield i, upper

@@ -5,7 +5,9 @@ The block Schur recursion produces ``R`` one block row at a time from a
 the rows — whitening ``y = R⁻ᵀ b``, the log-determinant, Gaussian
 log-likelihoods of stationary (block) time series — therefore never
 need the ``O(n²)`` triangular factor at all.  This module exposes the
-row stream and those consumers.
+row stream and those consumers.  The stream is the stored factor's own
+elimination loop, so it honours every :class:`SchurOptions` field,
+``precision`` and ``in_place`` included.
 
 This is the natural large-``n`` mode of the algorithm (the full factor
 of a 10⁵-point Toeplitz matrix would need 40 GB; the stream needs a few
@@ -19,10 +21,13 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.generator import Generator, spd_generator
-from repro.core.schur_spd import SchurOptions, eliminate_block
-from repro.errors import NotPositiveDefiniteError, ShapeError
-from repro.errors import BreakdownError
+from repro.core.generator import Generator
+from repro.core.schur_spd import (
+    SchurOptions,
+    _block_rows,
+    _working_generator,
+)
+from repro.errors import ShapeError
 from repro.toeplitz.block_toeplitz import SymmetricBlockToeplitz
 from repro.utils.lintools import solve_upper_triangular
 
@@ -39,34 +44,19 @@ def iter_r_block_rows(t: SymmetricBlockToeplitz | Generator, *,
                       ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(i, R[i·m:(i+1)·m, i·m:])`` for ``i = 0 … p−1``.
 
+    The rows come from the factor's own loop (``_block_rows`` in
+    :mod:`repro.core.schur_spd`), so every option of ``options``
+    applies — ``precision`` (working dtype, ``"mixed"``
+    pivot rounding, fp32 subnormal flush), ``in_place``, the
+    representation and panel — and each row's upper triangle equals
+    :func:`~repro.core.schur_spd.schur_spd_factor`'s row bit for bit.
     The yielded array is a *live view* into the working generator —
-    consume (or copy) it before advancing the iterator.  Total extra
-    memory is the ``2m × n`` generator.
+    consume (or copy) it before advancing the iterator; below its
+    diagonal it may hold rounding residue.  Total extra memory is the
+    ``2m × n`` generator.
     """
     opts = options or SchurOptions()
-    if isinstance(t, Generator):
-        g = t.copy()
-    else:
-        g = spd_generator(t)
-    m, p = g.block_size, g.num_blocks
-    n = m * p
-    top = g.gen[:m]
-    bot = g.gen[m:]
-    yield 0, top
-    for i in range(1, p):
-        q = n - i * m
-        upper = top[:, :q]
-        lower = bot[:, i * m:]
-        try:
-            eliminate_block(upper, lower, g.w,
-                            representation=opts.representation,
-                            panel=opts.panel,
-                            breakdown_tol=opts.breakdown_tol,
-                            pivot_sign_fixup=opts.normalize_diagonal)
-        except BreakdownError as exc:
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite: {exc}") from exc
-        yield i, upper
+    yield from _block_rows(_working_generator(t, opts), opts)
 
 
 def streaming_whiten(t: SymmetricBlockToeplitz, b: np.ndarray, *,

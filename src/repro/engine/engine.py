@@ -418,15 +418,13 @@ def _solve_model_flops(algorithm: str, order: int, nrhs: int,
     Iterative details take priority over the algorithm name: a solve
     over a reduced-precision factor routes through blocked
     refinement and its ``detail`` reports the column-solve equivalents
-    actually issued (``solve_columns``; ``precond_columns`` /
-    ``precond_solves`` for PCG).  Only a plain direct solve falls back
-    to one forward + one backward sweep per RHS column.
+    actually issued (``solve_columns``; ``precond_columns`` for PCG).
+    Only a plain direct solve falls back to one forward + one backward
+    sweep per RHS column.
     """
     cols = getattr(detail, "solve_columns", None)
     if cols is None:
         cols = getattr(detail, "precond_columns", None)
-    if cols is None and getattr(detail, "precond_solves", None) is not None:
-        cols = detail.precond_solves   # scalar PCG: one column per solve
     if cols:
         return 2.0 * order * order * float(cols)
     if algorithm in ("spd-schur", "gko", "dense-chol"):

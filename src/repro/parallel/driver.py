@@ -19,7 +19,12 @@ import numpy as np
 from repro.blas.cray import T3DNetworkParameters, t3d_node_model
 from repro.core.generator import spd_generator
 from repro.core.packed import PackedUpper
-from repro.errors import DistributionError, ShapeError
+from repro.errors import (
+    BreakdownError,
+    DistributionError,
+    NotPositiveDefiniteError,
+    ShapeError,
+)
 from repro.machine.network import Torus3D
 from repro.machine.simulator import Machine, MachineReport
 from repro.parallel.distributions import (
@@ -110,6 +115,12 @@ def simulate_factorization(t: SymmetricBlockToeplitz,
     SimulatedRun
         With the packed factor (when collected) and the virtual-time
         report.
+
+    Raises
+    ------
+    NotPositiveDefiniteError
+        When a pivot breaks down (some leading principal minor of ``t``
+        is not positive), as in the serial and multiprocess factors.
     """
     if plan is not None:
         if nproc is None:
@@ -156,9 +167,13 @@ def simulate_factorization(t: SymmetricBlockToeplitz,
     packed = PackedUpper.zeros(m * p) if collect else None
     machine = Machine(nproc, network=network,
                       topology=topology or Torus3D(nproc), trace=trace)
-    report = machine.run(prog, layout=layout, m=m, p=p, w=g.w, gen=g.gen,
-                         representation=representation,
-                         node_model=node_model, packed=packed)
+    try:
+        report = machine.run(prog, layout=layout, m=m, p=p, w=g.w,
+                             gen=g.gen, representation=representation,
+                             node_model=node_model, packed=packed)
+    except BreakdownError as exc:
+        raise NotPositiveDefiniteError(
+            f"matrix is not positive definite: {exc}") from exc
     return SimulatedRun(packed=packed, report=report, layout=layout,
                         block_size=m, num_blocks=p,
                         representation=representation)

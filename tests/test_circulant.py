@@ -8,7 +8,7 @@ from repro.baselines import (
     strang_preconditioner,
     tchan_preconditioner,
 )
-from repro.baselines.pcg import pcg
+from repro.baselines.pcg import pcg, pcg_block
 from repro.errors import ShapeError
 from repro.toeplitz import ar_block_toeplitz, fgn_toeplitz, kms_toeplitz
 
@@ -91,3 +91,18 @@ class TestCirculantPCG:
         row = kms_toeplitz(16, 0.4).first_scalar_row()
         pre = strang_preconditioner(row)
         assert pre.order == 16
+
+
+class TestPanels:
+    @pytest.mark.parametrize("make", [strang_preconditioner,
+                                      tchan_preconditioner])
+    def test_block_pcg_with_circulant_preconditioner(self, make):
+        t = kms_toeplitz(64, 0.9)
+        b = np.random.default_rng(21).standard_normal((64, 3))
+        pre = make(t)
+        assert pre.solve(b).shape == b.shape
+        assert pre.matvec(b).shape == b.shape
+        res = pcg_block(t, b, preconditioner=pre, tol=1e-12)
+        assert res.converged
+        ref = np.linalg.solve(t.dense(), b)
+        assert np.max(np.abs(res.x - ref)) <= 1e-8 * np.max(np.abs(ref))

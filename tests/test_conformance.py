@@ -11,6 +11,10 @@ solve bit for bit (the GKO disk form re-runs its LU from the stored
 generators, so it is held to 1e-13 relative), and each column of a
 three-column panel matches its single solve to 1e-12 relative.
 Everywhere else the combination raises a typed error.
+
+On the same catalog, each solver loop is pinned as written once: a
+vector through ``refine`` or ``pcg`` equals the one-column panel run bit
+for bit, and the streamed rows of ``R`` equal the stored factor's.
 """
 
 from __future__ import annotations
@@ -19,11 +23,16 @@ import numpy as np
 import pytest
 
 import repro.engine as engine
+from repro.baselines import pcg, pcg_block
+from repro.core.block_reflector import REPRESENTATIONS
 from repro.core.precision import PRECISIONS
+from repro.core.refinement import refine
+from repro.core.schur_indefinite import schur_indefinite_factor
+from repro.core.schur_spd import SchurOptions, schur_spd_factor
+from repro.core.streaming import iter_r_block_rows
 from repro.engine import FactorizationCache, set_default_cache
 from repro.engine.cache_store import CacheStore, set_default_store
 from repro.errors import (
-    BreakdownError,
     InvalidOptionError,
     NotPositiveDefiniteError,
     ShapeError,
@@ -73,11 +82,6 @@ def _expected_error(kwargs: dict, precision: str, op_name: str, op):
     if kwargs.get("nproc", 1) > 1 and precision != "fp64":
         return InvalidOptionError
     if op_name in SINGULAR_MINOR:
-        if kwargs.get("nproc", 1) > 1:
-            # The simulated distributed factor raises the Schur
-            # breakdown itself; the serial and multiprocess paths map
-            # it to NotPositiveDefiniteError.
-            return (NotPositiveDefiniteError, BreakdownError)
         if algorithm in ("spd-schur", "dense-chol"):
             return NotPositiveDefiniteError
         if algorithm == "levinson":
@@ -132,7 +136,7 @@ def test_plan_space(case, precision, tier, op_name):
     again = engine.execute(pl, b)
     if tier == "off":
         assert not again.cache_hit
-        assert engine.default_cache().get(pl.cache_key()) is None
+        assert len(engine.default_cache()) == 0
     else:
         assert again.cache_hit == cacheable
         np.testing.assert_array_equal(again.x, fresh.x)
@@ -152,3 +156,93 @@ def test_plan_space(case, precision, tier, op_name):
     for j in range(panel.shape[1]):
         single = engine.execute(pl, panel[:, j]).x
         assert _rel(res.x[:, j], single) <= 1e-12
+
+
+# ----------------------------------------------------------------------
+# Each solver loop is written once: a vector is a one-column panel, and
+# the row stream is the factor's own loop.
+# ----------------------------------------------------------------------
+#: The catalog operators that are SPD (the others have a singular minor).
+SPD_OPERATORS = sorted(set(OPERATORS) - set(SINGULAR_MINOR))
+
+REFINE_CASES = ([(op, "indefinite") for op in sorted(OPERATORS)]
+                + [(op, "spd") for op in SPD_OPERATORS])
+
+
+def _rhs(op) -> np.ndarray:
+    return np.random.default_rng(11).standard_normal(op.order)
+
+
+@pytest.mark.parametrize("precision", ("fp64", "fp32"))
+@pytest.mark.parametrize("op_name,kind", REFINE_CASES)
+def test_refine_vector_is_one_column_panel(op_name, kind, precision):
+    op = OPERATORS[op_name]()
+    if kind == "spd":
+        fact = schur_spd_factor(op, options=SchurOptions(precision=precision))
+    else:
+        fact = schur_indefinite_factor(op, precision=precision)
+    b = _rhs(op)
+    vec = refine(fact, op, b)
+    col = refine(fact, op, b[:, None])
+    np.testing.assert_array_equal(vec.x, col.x[:, 0])
+    assert vec.x.shape == b.shape
+    assert vec.iterations == col.iterations
+    assert vec.converged == col.converged
+
+
+@pytest.mark.parametrize("precision", ("fp64", "fp32"))
+@pytest.mark.parametrize("op_name", sorted(OPERATORS))
+def test_pcg_vector_is_one_column_panel(op_name, precision):
+    op = OPERATORS[op_name]()
+    fact = schur_indefinite_factor(op, precision=precision)
+    b = _rhs(op)
+    vec = pcg(op, b, preconditioner=fact)
+    col = pcg_block(op, b[:, None], preconditioner=fact)
+    np.testing.assert_array_equal(vec.x, col.x[:, 0])
+    assert vec.x.shape == b.shape
+    assert vec.iterations == col.iterations
+
+
+@pytest.mark.parametrize("in_place", (True, False))
+@pytest.mark.parametrize("panel", (None, 2))
+@pytest.mark.parametrize("representation", REPRESENTATIONS)
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("op_name", SPD_OPERATORS)
+def test_streamed_rows_are_the_factor_rows(op_name, precision,
+                                           representation, panel, in_place):
+    op = OPERATORS[op_name]()
+    opts = SchurOptions(representation=representation, panel=panel,
+                        in_place=in_place, precision=precision)
+    fact = schur_spd_factor(op, options=opts)
+    m, n = op.block_size, op.order
+    rows = 0
+    for i, row in iter_r_block_rows(op, options=opts):
+        stored = fact.packed.block_row(i * m, m, np.arange(i * m, n))
+        assert row.dtype == fact.dtype
+        np.testing.assert_array_equal(np.triu(row), stored)
+        rows += 1
+    assert rows == n // m
+
+
+# ----------------------------------------------------------------------
+# Armed fallbacks and cache tiers
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("op_name", SINGULAR_MINOR)
+def test_simulated_distributed_breakdown_runs_fallback(op_name):
+    op = OPERATORS[op_name]()
+    b = _rhs(op)
+    res = engine.execute(engine.plan(op, probe=False, nproc=2), b)
+    assert res.fallback_used
+    assert _eta(op.dense(), res.x, b) <= 1e-10
+
+
+@pytest.mark.parametrize("tier", ("off", "memory"))
+def test_gs_caches_only_its_own_entry(tier):
+    op = OPERATORS["kms48"]()
+    pl = engine.plan(op, algorithm="gs", cache=tier)
+    engine.execute(pl, _rhs(op))
+    cache = engine.default_cache()
+    if tier == "off":
+        assert len(cache) == 0
+    else:
+        assert len(cache) == 1 and pl.cache_key() in cache

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.engine as engine
 from repro.core.refinement import refine
 from repro.core.schur_indefinite import schur_indefinite_factor
 from repro.core.schur_spd import schur_spd_factor
@@ -10,6 +11,7 @@ from repro.errors import ShapeError
 from repro.toeplitz import (
     ar_block_toeplitz,
     indefinite_toeplitz,
+    kms_toeplitz,
     paper_example_matrix,
     singular_minor_toeplitz,
 )
@@ -141,3 +143,29 @@ class TestGeneralBehaviour:
         res = refine(fact, t, b)
         assert len(res.residual_norms) >= 1
         assert len(res.correction_norms) == res.iterations
+
+
+class TestStallIsNotConvergence:
+    """A weakly stable fp32 factor of an ill-conditioned operator can
+    leave a correction of real size that stops halving while the
+    residual merely holds: that is a stall, not the rounding floor."""
+
+    @pytest.mark.parametrize("rho", [0.999, 0.99999])
+    def test_stalled_reduced_factor_reports_no_convergence(self, rho):
+        t = kms_toeplitz(64, rho)
+        fact = schur_indefinite_factor(t, precision="fp32")
+        b = np.random.default_rng(5).standard_normal(64)
+        assert not refine(fact, t, b).converged
+
+    @pytest.mark.parametrize("rho", [0.999, 0.99999])
+    def test_engine_recovers_at_fp64(self, rho):
+        t = kms_toeplitz(64, rho)
+        dense = t.dense()
+        b = np.random.default_rng(5).standard_normal(64)
+        pl = engine.plan(t, algorithm="indefinite+refine",
+                         precision="fp32", cache="off")
+        x = engine.execute(pl, b).x
+        eta = (np.max(np.abs(b - dense @ x))
+               / (np.max(np.sum(np.abs(dense), axis=1)) * np.max(np.abs(x))
+                  + np.max(np.abs(b))))
+        assert eta <= 1e-10
