@@ -50,13 +50,18 @@ KIND_INDEFINITE_PACKED = "indefinite-packed-r"
 COMPACT_KINDS = (KIND_GS, KIND_GKO, KIND_SPD_PACKED, KIND_INDEFINITE_PACKED)
 
 
+def array_bytes(a: np.ndarray) -> memoryview:
+    """The bytes of a C-contiguous ``a`` as a flat view, not a copy."""
+    return memoryview(a.reshape(-1).view(np.uint8))
+
+
 def array_hash(arr: np.ndarray) -> str:
     """SHA-256 over dtype, shape and raw bytes of ``arr``."""
     h = hashlib.sha256()
     a = np.ascontiguousarray(arr)
     h.update(str(a.dtype.str).encode())
     h.update(str(a.shape).encode())
-    h.update(a.tobytes())
+    h.update(array_bytes(a))
     return h.hexdigest()
 
 

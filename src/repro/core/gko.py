@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.packed import mapped_zeros
 from repro.core.precision import complex_working_dtype, validate_precision
 from repro.errors import BreakdownError, ShapeError
 from repro.toeplitz.block_toeplitz import BlockToeplitz, \
@@ -240,8 +241,9 @@ def cauchy_like_lu(ghat: np.ndarray, bhat: np.ndarray,
     n = g.shape[0]
     if b.shape[1] != n or d1.shape[0] != n or d2.shape[0] != n:
         raise ShapeError("generator/node dimensions disagree")
-    l = np.eye(n, dtype=dtype)
-    u = np.zeros((n, n), dtype=dtype)
+    l = mapped_zeros((n, n), dtype)
+    np.fill_diagonal(l, 1.0)
+    u = mapped_zeros((n, n), dtype)
     perm = np.arange(n)
     scale = float(np.max(np.abs(g)) * np.max(np.abs(b))) or 1.0
     for k in range(n):

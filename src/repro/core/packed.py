@@ -29,11 +29,22 @@ of column ``n1`` is one slice of ``P``.  The block helpers
 :meth:`~PackedUpper.block_row`, :meth:`~PackedUpper.block_column`) use
 that to let the distributed workers write and read ``R`` in a shared
 packed buffer.
+
+Memory.  A buffer of :data:`MAPPED_MIN_BYTES` or more comes from a
+private anonymous mapping of its own (:func:`mapped_zeros`).  glibc
+serves blocks below its mmap threshold from the heap, raises that
+threshold to the size of the first large block freed (up to 32 MiB),
+and keeps freed memory at the top of the heap; so a dropped n = 2048
+factor (16.8 MB) would stay resident.  A mapping goes back to the kernel
+when the last view of its array is dropped.  ``tracemalloc`` does not
+count mapped memory.
 """
 
 from __future__ import annotations
 
 import functools
+import mmap
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import blas as _blas
@@ -42,7 +53,11 @@ from scipy.linalg import lapack as _lapack
 from repro.blas import primitives as blas
 from repro.errors import ShapeError
 
-__all__ = ["PackedUpper", "packed_size"]
+__all__ = ["MAPPED_MIN_BYTES", "PackedUpper", "mapped_zeros",
+           "packed_size"]
+
+#: Arrays of at least this many bytes get a mapping of their own.
+MAPPED_MIN_BYTES = 1 << 20
 
 #: dtype → (trsv, gemv, tfsm) kernels.
 _KERNELS = {
@@ -54,6 +69,22 @@ _KERNELS = {
 def packed_size(n: int) -> int:
     """Words needed to store an ``n × n`` triangle: ``n(n+1)/2``."""
     return n * (n + 1) // 2
+
+
+def mapped_zeros(shape: int | Sequence[int], dtype=np.float64) -> np.ndarray:
+    """A zero-filled, writable, C-ordered array.
+
+    At :data:`MAPPED_MIN_BYTES` or more it is a view of a private
+    anonymous mapping (zero pages from the kernel), unmapped when the
+    last view of it is dropped; below that, or where ``mmap`` has no
+    ``MAP_PRIVATE``, it is ``np.zeros``.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    if nbytes < MAPPED_MIN_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.zeros(shape, dtype=dtype)
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype=dtype).reshape(shape)
 
 
 class PackedUpper:
@@ -85,8 +116,8 @@ class PackedUpper:
 
     @classmethod
     def zeros(cls, n: int, dtype=np.float64) -> "PackedUpper":
-        """An all-zero order-``n`` triangle."""
-        return cls(np.zeros(packed_size(n), dtype=dtype), n)
+        """An all-zero order-``n`` triangle (see :func:`mapped_zeros`)."""
+        return cls(mapped_zeros(packed_size(n), dtype), n)
 
     @property
     def dtype(self) -> np.dtype:
@@ -208,7 +239,7 @@ class PackedUpper:
         if self._dense is None:
             n1 = self.n // 2
             u11, a12, u22 = self._views()
-            r = np.zeros((self.n, self.n), dtype=self.dtype)
+            r = mapped_zeros((self.n, self.n), self.dtype)
             r[:n1, :n1] = np.triu(u11)
             r[:n1, n1:] = a12
             r[n1:, n1:] = np.triu(u22)

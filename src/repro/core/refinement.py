@@ -211,10 +211,14 @@ def _refine_block(factorization, emb: BlockCirculantEmbedding,
     ) if traced else None
     with obs.span("refine", max_iter=max_iter, tol=tol, nrhs=k) as sp:
         with obs.span("refine.initial_solve", nrhs=k):
-            x = np.asarray(factorization.solve(b), dtype=np.float64)
+            x = np.asarray(factorization.solve(b), dtype=np.float64,
+                           order="F")
         solve_calls, solve_columns = 1, k
         r = b - emb(x)
         col_res = np.linalg.norm(r, axis=0)
+        # x and r column-major: a gather a[:, cols] has that layout, so
+        # whole-array norms sum each column in the order gathers do.
+        r = np.asfortranarray(r)
         res_norms = [float(np.max(col_res, initial=0.0))]
         if traced:
             residual_gauge.set(res_norms[0], iteration="0")
@@ -227,25 +231,34 @@ def _refine_block(factorization, emb: BlockCirculantEmbedding,
         for it in range(max_iter):
             if active.size == 0:
                 break
+            # While every column is active, the whole arrays stand in
+            # for the gathers and scatters.
+            every = active.size == k
             with obs.span("refine.iteration", i=it + 1,
                           active=int(active.size)):
-                dx = factorization.solve(r[:, active])
+                dx = factorization.solve(r if every else r[:, active])
                 solve_calls += 1
                 solve_columns += int(active.size)
                 computed[active] += 1
                 dx_norm = np.linalg.norm(dx, axis=0)
-                x_norm = np.linalg.norm(x[:, active], axis=0)
+                x_norm = np.linalg.norm(x if every else x[:, active],
+                                        axis=0)
                 corr_norms.append(float(np.max(dx_norm)))
                 # Tolerance: converged, correction *not* applied.
                 small = dx_norm < tol * np.maximum(x_norm, 1e-300)
                 converged_mask[active[small]] = True
                 apply_cols = active[~small]
                 if apply_cols.size:
-                    x[:, apply_cols] += dx[:, ~small]
-                    r[:, apply_cols] = (b[:, apply_cols]
-                                        - emb(x[:, apply_cols]))
-                    col_res[apply_cols] = np.linalg.norm(
-                        r[:, apply_cols], axis=0)
+                    if apply_cols.size == k:
+                        x += dx
+                        np.subtract(b, emb(x), out=r)
+                        col_res[:] = np.linalg.norm(r, axis=0)
+                    else:
+                        x[:, apply_cols] += dx[:, ~small]
+                        r[:, apply_cols] = (b[:, apply_cols]
+                                            - emb(x[:, apply_cols]))
+                        col_res[apply_cols] = np.linalg.norm(
+                            r[:, apply_cols], axis=0)
                     res_norms.append(float(np.max(col_res)))
                     if traced:
                         residual_gauge.set(res_norms[-1])

@@ -51,6 +51,7 @@ from repro import obs
 from repro.core.compact import (
     COMPACT_SCHEMA_VERSION,
     CompactFactorization,
+    array_bytes,
     array_hash,
 )
 from repro.errors import CacheStoreError, UnsupportedFactorizationError
@@ -178,14 +179,13 @@ class CacheStore:
             if strict:
                 raise
             return False
-        payload = self._encode(key, compact, describe or {})
         path = self.path_for(key)
         with file_lock(self.lock_path):
             fd, tmp = tempfile.mkstemp(dir=self.entries_dir,
                                        suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as fh:
-                    fh.write(payload)
+                    self._encode(fh, key, compact, describe or {})
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(tmp, path)
@@ -197,8 +197,13 @@ class CacheStore:
         self._publish_gauges()
         return True
 
-    def _encode(self, key, compact: CompactFactorization,
-                describe: dict) -> bytes:
+    def _encode(self, fh, key, compact: CompactFactorization,
+                describe: dict) -> None:
+        """Write the entry into the open file ``fh``.
+
+        Each array member is its ``.npy`` header followed by the array's
+        own bytes, so no payload-sized copy is made.
+        """
         meta = {
             "store_schema": STORE_SCHEMA_VERSION,
             "compact_schema": COMPACT_SCHEMA_VERSION,
@@ -211,17 +216,24 @@ class CacheStore:
             "meta": compact.meta,
             "describe": describe,
         }
-        buf = io.BytesIO()
         # ZIP_STORED, never deflate: members must stay byte-addressable
         # raw npy streams for the zero-copy mmap read path.
-        with zipfile.ZipFile(buf, "w", compression=zipfile.ZIP_STORED) as zf:
+        with zipfile.ZipFile(fh, "w", compression=zipfile.ZIP_STORED) as zf:
             zf.writestr("meta.json", json.dumps(meta, indent=1))
             for name, arr in compact.arrays.items():
-                npy = io.BytesIO()
-                np.lib.format.write_array(npy, np.ascontiguousarray(arr),
-                                          allow_pickle=False)
-                zf.writestr(f"{name}.npy", npy.getvalue())
-        return buf.getvalue()
+                a = np.ascontiguousarray(arr)
+                header = io.BytesIO()
+                np.lib.format.write_array_header_1_0(
+                    header, np.lib.format.header_data_from_array_1_0(a))
+                # As writestr does; a known size picks zip64 when needed.
+                info = zipfile.ZipInfo(
+                    f"{name}.npy", date_time=time.localtime(time.time())[:6])
+                info.compress_type = zipfile.ZIP_STORED
+                info.external_attr = 0o600 << 16
+                info.file_size = header.tell() + a.nbytes
+                with zf.open(info, "w") as member:
+                    member.write(header.getvalue())
+                    member.write(array_bytes(a))
 
     # -- read -----------------------------------------------------------
     def get(self, key):

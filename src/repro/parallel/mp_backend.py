@@ -1036,7 +1036,10 @@ def mp_factorization(t: SymmetricBlockToeplitz,
         payloads, wall = _run_workers(ctx, worker, nproc, args, queue,
                                       barrier)
 
-        packed = PackedUpper(np.array(r_seg), n) if collect else None
+        packed = None
+        if collect:
+            packed = PackedUpper.zeros(n)
+            packed.data[:] = r_seg
         run = MPRun(packed=packed, nproc=nproc, layout=layout, block_size=m,
                     num_blocks=p, representation=representation,
                     wall_seconds=wall,

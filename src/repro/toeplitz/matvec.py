@@ -43,21 +43,6 @@ def next_fast_len(n: int) -> int:
         size += 1
 
 
-def _diagonal_block(t, d: int) -> np.ndarray:
-    """Block on block diagonal ``d`` (``d = j − i``) of matrix-like ``t``."""
-    if d >= 0:
-        # SymmetricBlockToeplitz stores the first block row in top_blocks;
-        # BlockToeplitz in first_block_row.
-        row = getattr(t, "top_blocks", None)
-        if row is None:
-            row = t.first_block_row
-        return row[d]
-    row = getattr(t, "top_blocks", None)
-    if row is not None:
-        return row[-d].T
-    return t.first_block_col[-d]
-
-
 class BlockCirculantEmbedding:
     """Precomputed FFT factor for repeated block Toeplitz products.
 
@@ -77,11 +62,19 @@ class BlockCirculantEmbedding:
         p = t.num_blocks
         m = t.block_size
         N = next_fast_len(max(2 * p - 1, 2))
+        # C_d for d = 0…p−1 (first block row) and d = −1…−(p−1) (first
+        # block column).  SymmetricBlockToeplitz keeps only its first
+        # block row, top_blocks, with C_{−d} = C_dᵀ.
+        top = getattr(t, "top_blocks", None)
+        if top is not None:
+            row = np.asarray(top)
+            col = row.transpose(0, 2, 1)
+        else:
+            row, col = t.first_block_row, t.first_block_col
         ker = np.zeros((N, m, m))
-        ker[0] = _diagonal_block(t, 0)
-        for s in range(1, p):
-            ker[s] = _diagonal_block(t, -s)       # t = s  → C_{−s}
-            ker[N - s] = _diagonal_block(t, s)    # t = N−s ≡ −s → C_{s}
+        ker[0] = row[0]
+        ker[1:p] = col[1:]                  # t = s    → C_{−s}
+        ker[N - p + 1:] = row[:0:-1]        # t = N−s ≡ −s → C_{s}
         self._kf = np.fft.rfft(ker, axis=0)
         self._N = N
         self._p = p

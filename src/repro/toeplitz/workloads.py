@@ -183,7 +183,9 @@ def singular_minor_toeplitz(n: int, *, minor: int = 2,
     Construction: pick the first ``minor`` entries of the first row so the
     ``minor × minor`` leading principal submatrix is singular (constant
     first row ⇒ the all-ones pattern of the paper's example), then extend
-    randomly.  The overall matrix is generically nonsingular.
+    randomly.  The overall matrix is generically nonsingular: a draw is
+    kept when ``|det T| > 1e-6``, tested through ``slogdet`` so that a
+    large order cannot overflow it.
     """
     rng = default_rng(seed)
     if not (2 <= minor <= n):
@@ -194,9 +196,8 @@ def singular_minor_toeplitz(n: int, *, minor: int = 2,
         # principal submatrix (all-ones pattern) exactly singular.
         row[:minor] = 1.0
         row[minor:] = rng.uniform(-0.9, 0.9, size=n - minor)
-        t = SymmetricBlockToeplitz.from_first_row(row)
-        if abs(np.linalg.det(t.dense())) > 1e-6:
-            return t
+        if np.linalg.slogdet(sla.toeplitz(row))[1] > np.log(1e-6):
+            return SymmetricBlockToeplitz.from_first_row(row)
     raise RuntimeError("failed to draw a nonsingular matrix with a "
                        "singular leading minor")
 

@@ -7,8 +7,12 @@ version-stamp invalidation, engine wiring (memory → disk → compute),
 and the memmap-aware in-memory size accounting.
 """
 
+import hashlib
+import io
+import json
 import multiprocessing
 import os
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -16,7 +20,7 @@ import pytest
 
 import repro.engine as engine
 import repro.obs as obs
-from repro.core import CompactFactorization
+from repro.core import CompactFactorization, array_hash
 from repro.engine import FactorizationCache, set_default_cache
 from repro.engine.cache_store import CacheStore, version_stamp
 from repro.errors import (
@@ -258,6 +262,109 @@ class TestCacheStore:
         assert store.stats().unsupported == 1
         with pytest.raises(UnsupportedFactorizationError):
             store.put(("k",), object(), strict=True)
+
+
+class TestPayloadCopies:
+    """Writes stream each array into its member and hash checks read the
+    array in place: neither copies the payload."""
+
+    @staticmethod
+    def _traced_peak(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak
+
+    @staticmethod
+    def _warm(store):
+        """One small put and get, so one-time imports are not traced."""
+        pl, fact = _factor(kms_toeplitz(16, 0.5))
+        store.put(pl.cache_key(), fact)
+        assert store.get(pl.cache_key()) is not None
+
+    def test_put_makes_no_payload_copy(self, store):
+        pl, fact = _factor(kms_toeplitz(1024, 0.5))
+        payload = fact.packed.data.nbytes
+        self._warm(store)
+        wrote, peak = self._traced_peak(
+            lambda: store.put(pl.cache_key(), fact))
+        assert wrote
+        assert peak < 0.25 * payload, peak / payload
+
+    def test_verified_get_makes_no_payload_copy(self, tmp_path):
+        store = CacheStore(str(tmp_path / "s"), hash_verify_limit=-1)
+        pl, fact = _factor(kms_toeplitz(1024, 0.5))
+        payload = fact.packed.data.nbytes
+        self._warm(store)
+        store.put(pl.cache_key(), fact)
+        loaded, peak = self._traced_peak(lambda: store.get(pl.cache_key()))
+        assert loaded is not None
+        np.testing.assert_array_equal(loaded.packed.data, fact.packed.data)
+        assert peak < 0.25 * payload, peak / payload
+
+    @pytest.mark.parametrize("arr", [
+        np.arange(12.0).reshape(3, 4),
+        np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+        np.arange(20.0)[::3],
+        np.arange(6, dtype=np.complex64) * 1j,
+        np.zeros((0, 3), dtype=np.float32),
+        np.array(2.5)])
+    def test_array_hash_pin(self, arr):
+        a = np.ascontiguousarray(arr)
+        h = hashlib.sha256()
+        h.update(a.dtype.str.encode())
+        h.update(str(a.shape).encode())
+        h.update(a.tobytes())
+        assert array_hash(arr) == h.hexdigest()
+
+    def test_entries_encoded_in_memory_load_and_verify(self, store):
+        """The earlier writer built each member and the whole zip in
+        memory.  Its entries have the streamed layout byte for byte
+        (timestamps aside), and they load and verify."""
+        pl, fact = _factor(singular_minor_toeplitz(24, seed=7),
+                           assume="indefinite")
+        key = pl.cache_key()
+        store.put(key, fact)
+        path = store.path_for(key)
+        with zipfile.ZipFile(path) as zf:
+            meta = json.loads(zf.read("meta.json"))
+            streamed = [(i.filename, i.header_offset, zf.read(i))
+                        for i in zf.infolist()]
+        compact = CompactFactorization.from_factorization(fact)
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w",
+                             compression=zipfile.ZIP_STORED) as zf:
+            zf.writestr("meta.json", json.dumps(meta, indent=1))
+            for name, arr in compact.arrays.items():
+                npy = io.BytesIO()
+                np.lib.format.write_array(npy, np.ascontiguousarray(arr),
+                                          allow_pickle=False)
+                zf.writestr(f"{name}.npy", npy.getvalue())
+        with open(path, "wb") as fh:
+            fh.write(buf.getvalue())
+        with zipfile.ZipFile(path) as zf:
+            assert [(i.filename, i.header_offset, zf.read(i))
+                    for i in zf.infolist()] == streamed
+        assert store.verify(key)
+        loaded = store.get(key)
+        np.testing.assert_array_equal(loaded.packed.data, fact.packed.data)
+
+    def test_member_past_the_zip64_limit(self, store, monkeypatch):
+        """A member over the zip64 limit (2 GiB, lowered here) writes
+        with zip64 extra fields, maps and verifies."""
+        monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 1 << 12)
+        pl, fact = _factor(kms_toeplitz(64, 0.5))
+        assert fact.packed.data.nbytes > 1 << 12
+        assert store.put(pl.cache_key(), fact)
+        with zipfile.ZipFile(store.path_for(pl.cache_key())) as zf:
+            assert zf.getinfo("r.npy").extra    # the zip64 field
+        loaded = store.get(pl.cache_key())
+        assert isinstance(loaded.packed.data, np.memmap)
+        np.testing.assert_array_equal(loaded.packed.data, fact.packed.data)
+        assert store.verify(pl.cache_key())
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from repro.toeplitz import (
     block_toeplitz_matvec,
     kms_toeplitz,
 )
+from repro.toeplitz.matvec import next_fast_len
 
 
 def _sym(p, m, seed=0):
@@ -85,3 +86,31 @@ def test_matvec_linear():
     np.testing.assert_allclose(t.matvec(2 * x - 3 * y),
                                2 * t.matvec(x) - 3 * t.matvec(y),
                                atol=1e-9)
+
+
+def _general(p, m, seed=0):
+    rng = np.random.default_rng(seed)
+    col = [rng.standard_normal((m, m)) for _ in range(p)]
+    row = [col[0]] + [rng.standard_normal((m, m)) for _ in range(p - 1)]
+    return BlockToeplitz(col, row)
+
+
+def _kernel_by_blocks(t):
+    """The embedding's FFT kernel built one ``t.block`` call per block."""
+    p, m = t.num_blocks, t.block_size
+    N = next_fast_len(max(2 * p - 1, 2))
+    ker = np.zeros((N, m, m))
+    ker[0] = t.block(0, 0)
+    for s in range(1, p):
+        ker[s] = t.block(s, 0)          # C_{−s}
+        ker[N - s] = t.block(0, s)      # C_{s}
+    return np.fft.rfft(ker, axis=0)
+
+
+@pytest.mark.parametrize("make", [_sym, _general])
+@pytest.mark.parametrize("p,m", [(1, 1), (1, 3), (2, 1), (2, 4), (7, 1),
+                                 (8, 3), (5, 2), (16, 2)])
+def test_kernel_matches_per_block_construction(make, p, m):
+    t = make(p, m, seed=p * 10 + m)
+    np.testing.assert_array_equal(BlockCirculantEmbedding(t)._kf,
+                                  _kernel_by_blocks(t))

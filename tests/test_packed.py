@@ -1,6 +1,10 @@
 """Tests for the packed (RFP) storage of the Schur factor ``R``."""
 
+import mmap
 import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,7 +13,12 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from repro.core import schur_indefinite_factor, schur_spd_factor
-from repro.core.packed import PackedUpper, packed_size
+from repro.core.packed import (
+    MAPPED_MIN_BYTES,
+    PackedUpper,
+    mapped_zeros,
+    packed_size,
+)
 from repro.errors import ShapeError
 from repro.parallel import transport
 from repro.toeplitz import (
@@ -229,7 +238,8 @@ class TestFactorStorage:
         assert fact.packed.data.nbytes == packed_size(t.order) * 8
 
     @pytest.mark.parametrize("factor,t", _factor_cases(1024))
-    def test_factor_path_allocates_no_dense_square(self, factor, t):
+    def test_factor_path_allocates_no_dense_square(self, factor, t,
+                                                   mapped_bytes):
         n = t.order
         tracemalloc.start()
         try:
@@ -237,7 +247,84 @@ class TestFactorStorage:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        peak += mapped_bytes[0]
         assert peak < 0.6 * n * n * 8, peak / (n * n * 8)
         b = np.ones(n)
         np.testing.assert_allclose(fact.reconstruct() @ fact.solve(b), b,
                                    atol=1e-8)
+
+
+#: Eight fresh n = 2048 operators through a 2-entry cache; prints the
+#: resident growth over the run in factor-buffer units.
+_CACHE_CHURN = """
+import numpy as np
+import repro.engine as engine
+from repro.core.packed import packed_size
+from repro.engine import FactorizationCache
+from repro.toeplitz import ar_block_toeplitz
+
+def rss():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) * 1024
+
+cache = FactorizationCache(max_entries=2)
+ops = [ar_block_toeplitz(512, 4, seed=s) for s in range(8)]
+b = np.ones(2048)
+warm = ar_block_toeplitz(16, 4, seed=99)
+engine.solve(warm, np.ones(warm.order), cache=cache)
+base = rss()
+for op in ops:
+    engine.solve(op, b, cache=cache)
+print((rss() - base) / (packed_size(2048) * 8))
+"""
+
+
+requires_mmap = pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE"),
+                                   reason="no private anonymous mappings")
+
+
+class TestMappedBuffers:
+    def test_small_arrays_stay_on_the_heap(self):
+        a = mapped_zeros(MAPPED_MIN_BYTES // 8 - 1)
+        assert a.base is None and not a.any()
+
+    @requires_mmap
+    @pytest.mark.parametrize("shape,dtype", [
+        (MAPPED_MIN_BYTES // 8, np.float64),
+        ((512, 1024), np.float32),
+        ((300, 400), np.complex128)])
+    def test_large_arrays_are_zeroed_writable_mappings(self, shape, dtype):
+        a = mapped_zeros(shape, dtype)
+        assert a.base is not None
+        assert a.shape == np.zeros(shape).shape and a.dtype == dtype
+        assert a.flags.c_contiguous and a.flags.writeable
+        assert not a.any()
+        view = a.reshape(-1)[1:]
+        del a
+        view[:] = 1                 # the view keeps the mapping alive
+        assert view.sum() == view.size
+
+    @requires_mmap
+    def test_packed_factor_buffer_is_mapped(self):
+        p = PackedUpper.zeros(1024)
+        assert p.data.base is not None
+        assert p.data.shape == (packed_size(1024),)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc/self/status")
+    def test_dropped_factors_return_to_the_os(self):
+        """With two factors cached, resident memory grows by two factor
+        buffers, not by the three a heap that keeps dropped ones holds."""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in (env.get("PYTHONPATH"),) if p])
+        proc = subprocess.run([sys.executable, "-c", _CACHE_CHURN],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        grown = float(proc.stdout)
+        assert grown <= 2.5, grown
