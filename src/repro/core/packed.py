@@ -30,21 +30,28 @@ of column ``n1`` is one slice of ``P``.  The block helpers
 that to let the distributed workers write and read ``R`` in a shared
 packed buffer.
 
-Memory.  A buffer of :data:`MAPPED_MIN_BYTES` or more comes from a
-private anonymous mapping of its own (:func:`mapped_zeros`).  glibc
-serves blocks below its mmap threshold from the heap, raises that
-threshold to the size of the first large block freed (up to 32 MiB),
-and keeps freed memory at the top of the heap; so a dropped n = 2048
-factor (16.8 MB) would stay resident.  A mapping goes back to the kernel
-when the last view of its array is dropped.  ``tracemalloc`` does not
-count mapped memory.
+Memory.  Inside :func:`mapped_buffers` (the engine opens it while it
+builds a factor for its in-process cache), a buffer of
+:data:`MAPPED_MIN_BYTES` or more comes from a private anonymous mapping
+of its own (:func:`mapped_zeros`).  glibc serves blocks below its mmap
+threshold from the heap, raises that threshold to the size of the first
+large block freed (up to 32 MiB), and keeps freed memory at the top of
+the heap; so a cache that drops one n = 2048 factor (16.8 MB) after
+another keeps a dropped one resident.  A mapping goes back to the kernel
+when the last view of its array is dropped, and the next factor pays for
+fresh pages (faulted in by the ``mmap`` call itself, ``MAP_POPULATE``,
+where the platform has it), so a factor that is built and dropped in a
+loop keeps ``np.zeros``: reusing warm heap memory is cheaper there.
+``tracemalloc`` does not count mapped memory.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import mmap
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import blas as _blas
@@ -53,11 +60,21 @@ from scipy.linalg import lapack as _lapack
 from repro.blas import primitives as blas
 from repro.errors import ShapeError
 
-__all__ = ["MAPPED_MIN_BYTES", "PackedUpper", "mapped_zeros",
-           "packed_size"]
+__all__ = ["MAPPED_MIN_BYTES", "PackedUpper", "mapped_buffers",
+           "mapped_zeros", "packed_size"]
 
-#: Arrays of at least this many bytes get a mapping of their own.
-MAPPED_MIN_BYTES = 1 << 20
+#: Arrays of at least this many bytes get a mapping of their own inside
+#: :func:`mapped_buffers`: an n = 2048 factor (16.8 MB), where a cache's
+#: resident saving was measured, but not an n = 1024 one (4.2 MB), whose
+#: mapping lowered no workload's peak and still cost fresh pages.
+MAPPED_MIN_BYTES = 8 << 20
+
+_mapping = contextvars.ContextVar("repro_mapped_buffers", default=False)
+
+#: One kernel call faults in every page where ``MAP_POPULATE`` exists,
+#: instead of one fault per page on first write.
+_MAP_FLAGS = (getattr(mmap, "MAP_PRIVATE", 0)
+              | getattr(mmap, "MAP_POPULATE", 0))
 
 #: dtype → (trsv, gemv, tfsm) kernels.
 _KERNELS = {
@@ -71,19 +88,33 @@ def packed_size(n: int) -> int:
     return n * (n + 1) // 2
 
 
+@contextlib.contextmanager
+def mapped_buffers(enabled: bool = True) -> Iterator[None]:
+    """Let :func:`mapped_zeros` map large buffers inside the block, or
+    not (``enabled=False``, which overrides an enclosing block).  Per
+    thread and per task."""
+    token = _mapping.set(enabled)
+    try:
+        yield
+    finally:
+        _mapping.reset(token)
+
+
 def mapped_zeros(shape: int | Sequence[int], dtype=np.float64) -> np.ndarray:
     """A zero-filled, writable, C-ordered array.
 
-    At :data:`MAPPED_MIN_BYTES` or more it is a view of a private
-    anonymous mapping (zero pages from the kernel), unmapped when the
-    last view of it is dropped; below that, or where ``mmap`` has no
+    Inside :func:`mapped_buffers`, at :data:`MAPPED_MIN_BYTES` or more,
+    it is a view of a private anonymous mapping (zero pages from the
+    kernel, populated up front where the platform allows), unmapped when
+    the last view of it is dropped; otherwise, or where ``mmap`` has no
     ``MAP_PRIVATE``, it is ``np.zeros``.
     """
     dtype = np.dtype(dtype)
     nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    if nbytes < MAPPED_MIN_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
+    if (not _mapping.get() or nbytes < MAPPED_MIN_BYTES
+            or not hasattr(mmap, "MAP_PRIVATE")):
         return np.zeros(shape, dtype=dtype)
-    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    buf = mmap.mmap(-1, nbytes, flags=_MAP_FLAGS)
     return np.frombuffer(buf, dtype=dtype).reshape(shape)
 
 
@@ -239,7 +270,7 @@ class PackedUpper:
         if self._dense is None:
             n1 = self.n // 2
             u11, a12, u22 = self._views()
-            r = mapped_zeros((self.n, self.n), self.dtype)
+            r = np.zeros((self.n, self.n), dtype=self.dtype)
             r[:n1, :n1] = np.triu(u11)
             r[:n1, n1:] = a12
             r[n1:, n1:] = np.triu(u22)

@@ -231,34 +231,27 @@ def _refine_block(factorization, emb: BlockCirculantEmbedding,
         for it in range(max_iter):
             if active.size == 0:
                 break
-            # While every column is active, the whole arrays stand in
-            # for the gathers and scatters.
-            every = active.size == k
+            # While every column is active, a whole slice stands in for
+            # the gathers and scatters.
+            cols = slice(None) if active.size == k else active
             with obs.span("refine.iteration", i=it + 1,
                           active=int(active.size)):
-                dx = factorization.solve(r if every else r[:, active])
+                dx = factorization.solve(r[:, cols])
                 solve_calls += 1
                 solve_columns += int(active.size)
                 computed[active] += 1
                 dx_norm = np.linalg.norm(dx, axis=0)
-                x_norm = np.linalg.norm(x if every else x[:, active],
-                                        axis=0)
+                x_norm = np.linalg.norm(x[:, cols], axis=0)
                 corr_norms.append(float(np.max(dx_norm)))
                 # Tolerance: converged, correction *not* applied.
                 small = dx_norm < tol * np.maximum(x_norm, 1e-300)
                 converged_mask[active[small]] = True
                 apply_cols = active[~small]
                 if apply_cols.size:
-                    if apply_cols.size == k:
-                        x += dx
-                        np.subtract(b, emb(x), out=r)
-                        col_res[:] = np.linalg.norm(r, axis=0)
-                    else:
-                        x[:, apply_cols] += dx[:, ~small]
-                        r[:, apply_cols] = (b[:, apply_cols]
-                                            - emb(x[:, apply_cols]))
-                        col_res[apply_cols] = np.linalg.norm(
-                            r[:, apply_cols], axis=0)
+                    upd = slice(None) if apply_cols.size == k else apply_cols
+                    x[:, upd] += dx[:, ~small]
+                    r[:, upd] = b[:, upd] - emb(x[:, upd])
+                    col_res[upd] = np.linalg.norm(r[:, upd], axis=0)
                     res_norms.append(float(np.max(col_res)))
                     if traced:
                         residual_gauge.set(res_norms[-1])

@@ -27,6 +27,7 @@ from typing import Any, Callable
 import numpy as np
 
 import repro.obs as obs
+from repro.core.packed import mapped_buffers
 from repro.engine.cache import FactorizationCache, default_cache
 from repro.engine.cache_store import CacheStore, default_store
 from repro.engine.plan import SolverPlan
@@ -289,8 +290,11 @@ def _obtain_factorization(algo: Algorithm, pl: SolverPlan,
                 if c is not None:     # promote for this process
                     c.put(key, fact)
         # Tier 3: compute (and admit), then publish back to both tiers.
+        # The memory tier drops what it holds at some later eviction, so
+        # a factor built for it gets mappings that go back to the OS then.
         if fact is None:
-            fact = _admitted(algo, pl, algo.factor(pl.operator, pl))
+            with mapped_buffers(c is not None):
+                fact = _admitted(algo, pl, algo.factor(pl.operator, pl))
             if c is not None:
                 c.put(key, fact)
             if st is not None:

@@ -23,28 +23,6 @@ def no_processes_left_running():
 
 
 @pytest.fixture
-def mapped_bytes(monkeypatch):
-    """Bytes of the arrays :func:`repro.core.packed.mapped_zeros` maps.
-
-    ``tracemalloc`` does not see mapped memory; a memory pin adds
-    ``mapped_bytes[0]`` to its traced peak.
-    """
-    from repro.core import packed
-
-    counted = [0]
-    real = packed.mapped_zeros
-
-    def counting(shape, dtype=np.float64):
-        a = real(shape, dtype)
-        if a.base is not None:          # a view of a mapping
-            counted[0] += a.nbytes
-        return a
-
-    monkeypatch.setattr(packed, "mapped_zeros", counting)
-    return counted
-
-
-@pytest.fixture
 def rng():
     return np.random.default_rng(12345)
 

@@ -380,8 +380,7 @@ class TestMemory:
         assert grown < 8 << 20, grown / 2**20
 
     @pytest.mark.parametrize("schedule", ["bulk", "lookahead"])
-    def test_factor_and_solve_allocate_no_dense_square(self, schedule,
-                                                       mapped_bytes):
+    def test_factor_and_solve_allocate_no_dense_square(self, schedule):
         n = 1024
         opts = dict(nproc=2, backend="multiprocess", schedule=schedule,
                     cache="off")
@@ -395,7 +394,6 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        peak += mapped_bytes[0]
         fact = res.detail
         assert fact.backend == "multiprocess"
         assert fact.last_solve_backend == "multiprocess"

@@ -13,9 +13,11 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from repro.core import schur_indefinite_factor, schur_spd_factor
+from repro.core import packed
 from repro.core.packed import (
     MAPPED_MIN_BYTES,
     PackedUpper,
+    mapped_buffers,
     mapped_zeros,
     packed_size,
 )
@@ -238,8 +240,7 @@ class TestFactorStorage:
         assert fact.packed.data.nbytes == packed_size(t.order) * 8
 
     @pytest.mark.parametrize("factor,t", _factor_cases(1024))
-    def test_factor_path_allocates_no_dense_square(self, factor, t,
-                                                   mapped_bytes):
+    def test_factor_path_allocates_no_dense_square(self, factor, t):
         n = t.order
         tracemalloc.start()
         try:
@@ -247,7 +248,6 @@ class TestFactorStorage:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        peak += mapped_bytes[0]
         assert peak < 0.6 * n * n * 8, peak / (n * n * 8)
         b = np.ones(n)
         np.testing.assert_allclose(fact.reconstruct() @ fact.solve(b), b,
@@ -285,19 +285,30 @@ requires_mmap = pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE"),
                                    reason="no private anonymous mappings")
 
 
+def _mapped(a: np.ndarray) -> bool:
+    """Whether ``a`` is a view of an anonymous mapping."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap)
+
+
 class TestMappedBuffers:
-    def test_small_arrays_stay_on_the_heap(self):
-        a = mapped_zeros(MAPPED_MIN_BYTES // 8 - 1)
-        assert a.base is None and not a.any()
+    def test_heap_outside_the_scope_or_below_the_cutoff(self):
+        words = MAPPED_MIN_BYTES // 8
+        with mapped_buffers():
+            small = mapped_zeros(words - 1)
+        for a in (mapped_zeros(words), small):
+            assert not _mapped(a) and not a.any()
 
     @requires_mmap
     @pytest.mark.parametrize("shape,dtype", [
         (MAPPED_MIN_BYTES // 8, np.float64),
-        ((512, 1024), np.float32),
-        ((300, 400), np.complex128)])
+        ((1024, 2048), np.float32),
+        ((600, 900), np.complex128)])
     def test_large_arrays_are_zeroed_writable_mappings(self, shape, dtype):
-        a = mapped_zeros(shape, dtype)
-        assert a.base is not None
+        with mapped_buffers():
+            a = mapped_zeros(shape, dtype)
+        assert _mapped(a)
         assert a.shape == np.zeros(shape).shape and a.dtype == dtype
         assert a.flags.c_contiguous and a.flags.writeable
         assert not a.any()
@@ -306,11 +317,28 @@ class TestMappedBuffers:
         view[:] = 1                 # the view keeps the mapping alive
         assert view.sum() == view.size
 
+    def test_scope_nests_and_resets(self):
+        with mapped_buffers():
+            with mapped_buffers(False):
+                assert not packed._mapping.get()
+            assert packed._mapping.get()
+        assert not packed._mapping.get()
+
     @requires_mmap
-    def test_packed_factor_buffer_is_mapped(self):
-        p = PackedUpper.zeros(1024)
-        assert p.data.base is not None
-        assert p.data.shape == (packed_size(1024),)
+    @pytest.mark.parametrize("cache", ["memory", "off"])
+    def test_engine_maps_only_what_its_cache_holds(self, monkeypatch,
+                                                   cache):
+        from repro import engine
+
+        monkeypatch.setattr(packed, "MAPPED_MIN_BYTES", 4096)
+        t = ar_block_toeplitz(32, 4, seed=1)
+        held = engine.FactorizationCache() if cache == "memory" else None
+        fres = engine.factor(engine.plan(t, cache=cache), cache=held)
+        data = fres.factorization.packed.data
+        assert _mapped(data) is (held is not None)
+        direct = schur_spd_factor(t).packed.data
+        assert not _mapped(direct)
+        np.testing.assert_array_equal(data, direct)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads /proc/self/status")
