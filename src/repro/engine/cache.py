@@ -12,9 +12,11 @@ configurations never collide.
 Entries account their byte footprint (every buffer reachable through
 the stored factorization object, once each); eviction is
 least-recently-used, triggered by either an entry-count or a byte
-budget.  All operations take an internal lock, so concurrent solves from
-multiple threads are safe; hit/miss/eviction counters make the behaviour
-observable (and testable).
+budget.  The engine makes room under the entry budget on a miss,
+before it loads or builds the new factor.  All operations take an
+internal lock, so concurrent solves from multiple threads are safe;
+hit/miss/eviction counters make the behaviour observable (and
+testable).
 """
 
 from __future__ import annotations
@@ -185,27 +187,29 @@ class FactorizationCache:
                 self._bytes -= old
             self._entries[key] = (value, nbytes)
             self._bytes += nbytes
-            while (len(self._entries) > self.max_entries
-                   or self._bytes > self.max_bytes):
-                _, (_, evicted_bytes) = self._entries.popitem(last=False)
-                self._bytes -= evicted_bytes
-                self._evictions += 1
-            if _spans.enabled():
-                self._publish_gauges()
+            self._evict_to(self.max_entries)
 
-    def get_or_create(self, key: tuple, builder) -> tuple[object, bool]:
-        """Return ``(value, cache_hit)``, building and inserting on miss.
+    def make_room(self) -> None:
+        """Evict LRU entries until one more fits the entry budget.
 
-        The builder runs outside the lock (factorizations are slow); two
-        racing threads may both build, with the later insert winning —
-        correctness is unaffected since equal keys mean equal content.
+        The engine calls this on a miss, before it loads or builds the
+        value it will :meth:`put`, so a full cache never holds
+        ``max_entries + 1`` values while the new one is made.  The byte
+        budget is checked by :meth:`put`, once the value's size is
+        known.
         """
-        value = self.get(key)
-        if value is not None:
-            return value, True
-        value = builder()
-        self.put(key, value)
-        return value, False
+        with self._lock:
+            self._evict_to(self.max_entries - 1)
+
+    def _evict_to(self, entries: int) -> None:
+        """Drop least-recently-used entries until at most ``entries``
+        remain within the byte budget (called under the lock)."""
+        while len(self._entries) > entries or self._bytes > self.max_bytes:
+            _, (_, evicted_bytes) = self._entries.popitem(last=False)
+            self._bytes -= evicted_bytes
+            self._evictions += 1
+        if _spans.enabled():
+            self._publish_gauges()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

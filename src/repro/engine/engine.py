@@ -282,6 +282,10 @@ def _obtain_factorization(algo: Algorithm, pl: SolverPlan,
         fact = c.get(key) if c is not None else None
         hit = fact is not None
         disk_hit = False
+        # A miss frees its slot first, so a full tier never holds one
+        # factor more than its budget while the new one is loaded or built.
+        if fact is None and c is not None:
+            c.make_room()
         # Tier 2: persistent store (emits its own cache.load span).
         if fact is None and st is not None:
             fact = st.get(key)

@@ -20,6 +20,10 @@ from repro.utils.lintools import as_panel, from_panel
 __all__ = ["BlockCirculantEmbedding", "block_toeplitz_matvec",
            "next_fast_len"]
 
+#: Columns :meth:`BlockCirculantEmbedding.matvec` transforms at a time:
+#: the serve dispatcher's default panel cap, so a served panel is one tile.
+TILE_COLUMNS = 32
+
 #: Radices of the FFT's fast kernels (pocketfft, behind ``numpy.fft``).
 _FAST_RADICES = (2, 3, 5, 7, 11)
 
@@ -88,20 +92,36 @@ class BlockCirculantEmbedding:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply the embedded matrix to a vector or an ``n × k`` panel.
 
-        All ``k`` columns share the two FFTs and the per-frequency
-        ``m × m`` multiply (batched in the ``einsum``), so a panel costs
-        barely more than ``k`` times the transform's pointwise stage —
-        never ``k`` separate embeddings.  Fortran-ordered and
+        Up to :data:`TILE_COLUMNS` columns share the two FFTs and the
+        per-frequency ``m × m`` multiply (batched in the ``einsum``).  A
+        wider panel goes through in tiles of that many columns, each
+        written into one preallocated result, so the working set beyond
+        the result stays a few ``N × m × 32`` arrays however wide the
+        panel is.  Every column is transformed on its own, so a tiled
+        product is bitwise equal to a one-shot one.  Fortran-ordered and
         non-contiguous panels are normalized once on entry.
         """
         x, single = as_panel(x, self._n, name="operand")
         nrhs = x.shape[1]
-        xp = np.zeros((self._N, self._m, nrhs))
-        xp[:self._p] = x.reshape(self._p, self._m, nrhs)
-        xf = np.fft.rfft(xp, axis=0)
-        yf = np.einsum("fab,fbr->far", self._kf, xf)
-        y = np.fft.irfft(yf, n=self._N, axis=0)[:self._p]
+        xs = x.reshape(self._p, self._m, nrhs)
+        if nrhs <= TILE_COLUMNS:
+            # One tile: a copy into a preallocated result would only add
+            # a pass over fresh memory.
+            y = self._transform(xs)
+        else:
+            y = np.empty_like(xs)
+            for j in range(0, nrhs, TILE_COLUMNS):
+                cols = slice(j, j + TILE_COLUMNS)
+                y[:, :, cols] = self._transform(xs[:, :, cols])
         return from_panel(y.reshape(self._n, nrhs), single)
+
+    def _transform(self, xs: np.ndarray) -> np.ndarray:
+        """The embedded matrix applied to ``p × m × w`` block columns in
+        one pair of FFTs."""
+        xp = np.zeros((self._N, self._m, xs.shape[2]))
+        xp[:self._p] = xs
+        yf = np.einsum("fab,fbr->far", self._kf, np.fft.rfft(xp, axis=0))
+        return np.fft.irfft(yf, n=self._N, axis=0)[:self._p]
 
     __call__ = matvec
 

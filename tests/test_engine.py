@@ -1,5 +1,7 @@
 """Tests for the solver engine: plan/execute, cache, operator protocol."""
 
+import dataclasses
+import sys
 import threading
 
 import numpy as np
@@ -13,7 +15,11 @@ from repro.engine import (
     StructuredOperator,
     set_default_cache,
 )
-from repro.errors import InvalidOptionError, ShapeError
+from repro.errors import (
+    InvalidOptionError,
+    NotPositiveDefiniteError,
+    ShapeError,
+)
 from repro.toeplitz import (
     BlockToeplitz,
     SymmetricToeplitzBlock,
@@ -346,6 +352,110 @@ class TestCache:
         assert pl1.cache_key() not in cache
         res = engine.execute(pl1, b8, cache=cache)  # rebuilt
         assert not res.cache_hit
+
+    @staticmethod
+    def _full_cache():
+        """A two-entry cache holding two factors, least recent first."""
+        cache = FactorizationCache(max_entries=2)
+        plans = [engine.plan(kms_toeplitz(8, rho)) for rho in (0.5, 0.6)]
+        for pl in plans:
+            engine.factor(pl, cache=cache)
+        return cache, plans
+
+    def test_miss_makes_room_before_the_build(self, monkeypatch):
+        """A build into a full cache sees one entry less than the
+        budget, so the tier never holds ``max_entries + 1`` factors."""
+        cache, (oldest, kept) = self._full_cache()
+        algo = engine.get_algorithm("spd-schur")
+        held = []
+
+        def recording(op, pl):
+            held.append(len(cache))
+            return algo.factor(op, pl)
+
+        monkeypatch.setitem(engine.engine._REGISTRY, "spd-schur",
+                            dataclasses.replace(algo, factor=recording))
+        new = engine.plan(kms_toeplitz(8, 0.7))
+        engine.factor(new, cache=cache)
+        assert held == [1]
+        assert oldest.cache_key() not in cache
+        assert kept.cache_key() in cache and new.cache_key() in cache
+        assert cache.stats().evictions == 1
+
+    def test_miss_makes_room_before_the_store_load(self, tmp_path):
+        from repro.engine import CacheStore
+        store = CacheStore(str(tmp_path / "store"))
+        stored = engine.plan(kms_toeplitz(8, 0.7))
+        engine.factor(stored, cache=FactorizationCache(), store=store)
+        cache, (oldest, kept) = self._full_cache()
+        held = []
+        load = store.get
+
+        def recording(key):
+            held.append(len(cache))
+            return load(key)
+
+        store.get = recording
+        assert engine.factor(stored, cache=cache, store=store).cache_hit
+        assert held == [1]
+        assert kept.cache_key() in cache and stored.cache_key() in cache
+
+    def test_failed_build_leaves_a_slot_free(self):
+        cache, (oldest, kept) = self._full_cache()
+        t = singular_minor_toeplitz(24, seed=7)
+        pl = engine.plan(t, probe=False).with_(fallback=None)
+        with pytest.raises(NotPositiveDefiniteError):
+            engine.factor(pl, cache=cache)
+        assert len(cache) == 1 and kept.cache_key() in cache
+        assert cache.stats().evictions == 1
+
+    def test_breakdown_fallback_ends_with_one_eviction(self):
+        """The SPD build that breaks down and the fallback's build make
+        room once between them: the fallback's factor replaces the
+        least recent entry, as when eviction followed the insert."""
+        cache, (oldest, kept) = self._full_cache()
+        t = singular_minor_toeplitz(24, seed=7)
+        pl = engine.plan(t, probe=False)     # plans SPD, arms fallback
+        assert engine.execute(pl, np.ones(t.order), cache=cache
+                              ).fallback_used
+        fallback = pl.with_(algorithm=pl.fallback, fallback=None)
+        assert len(cache) == 2
+        assert kept.cache_key() in cache and fallback.cache_key() in cache
+        assert cache.stats().evictions == 1
+
+    def test_concurrent_misses_keep_the_budget(self):
+        """Threads missing into a small cache at once: every miss makes
+        room and inserts, and no eviction or byte count is lost."""
+        from repro.engine.cache import _estimate_nbytes
+
+        cache = FactorizationCache(max_entries=2)
+        plans = [engine.plan(kms_toeplitz(8, 0.1 * i)) for i in range(1, 7)]
+        b = np.ones(8)
+
+        def worker(seed):
+            order = np.random.default_rng(seed).permutation(12) % 6
+            for i in order:
+                engine.execute(plans[i], b, cache=cache)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,))
+                       for s in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        s = cache.stats()
+        assert s.hits + s.misses == 48
+        assert 1 <= s.entries <= 2
+        one = engine.factor(plans[0], cache=FactorizationCache())
+        assert s.current_bytes == (s.entries
+                                   * _estimate_nbytes(one.factorization))
+        assert s.evictions <= s.misses - s.entries
 
     def test_byte_budget_eviction(self):
         # One packed n=32 factor is 32·33/2·8 = 4224 B; two do not fit.

@@ -1,17 +1,22 @@
 """Tests for the FFT block-circulant fast matvec."""
 
+import inspect
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import ShapeError
+from repro.serve.dispatcher import BatchDispatcher
 from repro.toeplitz import (
     BlockCirculantEmbedding,
     BlockToeplitz,
     SymmetricBlockToeplitz,
+    ar_block_toeplitz,
     block_toeplitz_matvec,
     kms_toeplitz,
 )
-from repro.toeplitz.matvec import next_fast_len
+from repro.toeplitz.matvec import TILE_COLUMNS, next_fast_len
 
 
 def _sym(p, m, seed=0):
@@ -114,3 +119,49 @@ def test_kernel_matches_per_block_construction(make, p, m):
     t = make(p, m, seed=p * 10 + m)
     np.testing.assert_array_equal(BlockCirculantEmbedding(t)._kf,
                                   _kernel_by_blocks(t))
+
+
+def _one_shot(emb, x):
+    """The whole panel through one transform, untiled."""
+    p, m, N = emb._p, emb._m, emb._N
+    k = x.shape[1]
+    xp = np.zeros((N, m, k))
+    xp[:p] = x.reshape(p, m, k)
+    yf = np.einsum("fab,fbr->far", emb._kf, np.fft.rfft(xp, axis=0))
+    return np.fft.irfft(yf, n=N, axis=0)[:p].reshape(p * m, k)
+
+
+@pytest.mark.parametrize("make", [_sym, _general])
+@pytest.mark.parametrize("k", [1, 31, 32, 33, 257])
+def test_tiled_product_is_bitwise_the_one_shot(make, k):
+    t = make(12, 3, seed=k)
+    emb = BlockCirculantEmbedding(t)
+    x = np.random.default_rng(k).standard_normal((t.order, k))
+    expected = _one_shot(emb, x)
+    np.testing.assert_array_equal(emb.matvec(x), expected)
+    np.testing.assert_array_equal(emb.matvec(np.asfortranarray(x)),
+                                  expected)
+    if k == 1:
+        np.testing.assert_array_equal(emb.matvec(x[:, 0]), expected[:, 0])
+
+
+def test_tile_is_the_dispatchers_default_panel():
+    cap = inspect.signature(BatchDispatcher).parameters["max_batch_k"]
+    assert TILE_COLUMNS == cap.default
+
+
+def test_wide_product_allocates_tiles_not_panels():
+    """A k = 256 product at n = 2048 allocates its result and a few
+    tile-sized arrays; untiled, it peaked at four ``N × m × k`` arrays
+    (32 MiB against 7 MiB)."""
+    t = ar_block_toeplitz(512, 4, seed=0)
+    emb = BlockCirculantEmbedding(t)
+    x = np.random.default_rng(0).standard_normal((t.order, 256))
+    tracemalloc.start()
+    try:
+        y = emb.matvec(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tile = emb._kf.shape[0] * 4 * TILE_COLUMNS * 16     # complex, F × m × 32
+    assert peak <= y.nbytes + 5 * tile, (peak, y.nbytes, tile)
