@@ -22,7 +22,7 @@ def run_comparison(n: int, m: int):
         plain = simulate_factorization(t, nproc=npp, b=1,
                                        collect=False).time
         look = simulate_factorization(t, nproc=npp, b=1,
-                                      program="lookahead",
+                                      schedule="lookahead",
                                       collect=False).time
         rows.append([npp, plain, look, f"{plain / look:.2f}x"])
     return rows

@@ -620,6 +620,8 @@ def _cmd_bench_diff(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
+    from repro.engine.plan import BACKENDS, SCHEDULES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Block Schur solvers for (block) Toeplitz systems "
@@ -657,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the factorization distributed over NP "
                             "PEs")
         p.add_argument("--backend", default="simulated",
-                       choices=["simulated", "multiprocess"],
+                       choices=BACKENDS,
                        help="distributed backend (with --nproc > 1): "
                             "the discrete-event T3D model or real "
                             "worker processes; multiprocess falls back "
@@ -667,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="distribution parameter b (b≥1: Versions "
                             "1/2; b<1 ⇒ Version 3)")
         p.add_argument("--schedule", default="bulk",
-                       choices=["bulk", "lookahead"],
+                       choices=SCHEDULES,
                        help="distributed per-step schedule: the "
                             "barrier-synchronized bulk loop, or the "
                             "Section-7 lookahead pipeline (Version 1, "

@@ -136,10 +136,9 @@ class CacheStore:
     serialize on the advisory ``.lock`` file.
     """
 
-    def __init__(self, root: str, *, mmap: bool = True,
+    def __init__(self, root: str, *,
                  hash_verify_limit: int = HASH_VERIFY_LIMIT):
         self.root = os.path.abspath(root)
-        self.mmap = bool(mmap)
         self.hash_verify_limit = int(hash_verify_limit)
         self._stamp = version_stamp()
         self._stats = StoreStats()
@@ -308,7 +307,7 @@ class CacheStore:
                     continue
                 name = info.filename[:-len(".npy")]
                 arr = None
-                if self.mmap and info.compress_type == zipfile.ZIP_STORED:
+                if info.compress_type == zipfile.ZIP_STORED:
                     arr = self._mmap_member(path, info, file_size)
                 if arr is None:
                     arr = np.lib.format.read_array(
@@ -530,7 +529,7 @@ class CacheStore:
                       self.disk_bytes())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"CacheStore(root={self.root!r}, mmap={self.mmap})"
+        return f"CacheStore(root={self.root!r})"
 
 
 # ---------------------------------------------------------------------------

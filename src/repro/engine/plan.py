@@ -28,13 +28,16 @@ import numpy as np
 import repro.obs as obs
 from repro.errors import InvalidOptionError, ShapeError
 
-__all__ = ["MachineSpec", "SolverPlan", "plan"]
+__all__ = ["BACKENDS", "MachineSpec", "SCHEDULES", "SolverPlan", "plan"]
 
 _ASSUME_VALUES = ("auto", "spd", "indefinite")
-_BACKEND_VALUES = ("simulated", "multiprocess")
-# Must match repro.parallel.mp_backend.SCHEDULES (kept literal to avoid
-# a plan-time import of the parallel package).
-_SCHEDULE_VALUES = ("bulk", "lookahead")
+#: Where a distributed factorization runs: the discrete-event T3D model
+#: or real worker processes (also ``repro.parallel.BACKENDS``).
+BACKENDS = ("simulated", "multiprocess")
+#: Per-step schedules of the distributed factorization: the paper's
+#: barrier-synchronized loop or the §6.5 lookahead overlap (also
+#: ``repro.parallel.SCHEDULES``).
+SCHEDULES = ("bulk", "lookahead")
 # Kept as a local literal (rather than importing repro.core.precision)
 # to avoid a plan-time import of the core package; must match
 # repro.core.precision.PRECISIONS.
@@ -356,10 +359,10 @@ def _make_plan(op, *, assume: str = "auto",
     if assume not in _ASSUME_VALUES:
         raise InvalidOptionError(
             f"unknown assume={assume!r}; expected one of {_ASSUME_VALUES}")
-    if backend not in _BACKEND_VALUES:
+    if backend not in BACKENDS:
         raise InvalidOptionError(
             f"unknown backend={backend!r}; expected one of "
-            f"{_BACKEND_VALUES}")
+            f"{BACKENDS}")
     if precision not in _PRECISION_VALUES:
         raise InvalidOptionError(
             f"unknown precision={precision!r}; expected one of "
@@ -367,10 +370,10 @@ def _make_plan(op, *, assume: str = "auto",
     if cache not in _CACHE_VALUES:
         raise InvalidOptionError(
             f"unknown cache={cache!r}; expected one of {_CACHE_VALUES}")
-    if schedule not in _SCHEDULE_VALUES:
+    if schedule not in SCHEDULES:
         raise InvalidOptionError(
             f"unknown schedule={schedule!r}; expected one of "
-            f"{_SCHEDULE_VALUES}")
+            f"{SCHEDULES}")
     if nproc is not None and nproc < 1:
         raise ShapeError(f"nproc must be positive, got {nproc}")
 

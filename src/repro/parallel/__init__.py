@@ -25,6 +25,10 @@ them from a :class:`~repro.engine.SolverPlan` (with graceful fallback
 to simulation when the multiprocess backend is unavailable);
 :mod:`~repro.parallel.analytic` provides the closed-form per-step cost
 model the paper's trade-off discussion implies.
+
+:data:`SCHEDULES` and :data:`BACKENDS`, the legal per-step schedules and
+backends, are the plan axes of :mod:`repro.engine.plan`, re-exported
+here.
 """
 
 from repro._lazy import lazy_exports
@@ -36,12 +40,13 @@ from repro.parallel.distributions import (
 
 # The simulator and the backends load on first use.
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.parallel.driver": ("simulate_factorization", "simulate_solve",
+    "repro.engine.plan": ("BACKENDS", "SCHEDULES"),
+    "repro.parallel.driver": ("simulate_factorization",
                               "simulate_triangular_solve", "SimulatedRun"),
     "repro.parallel.analytic": ("analytic_factor_time", "AnalyticBreakdown"),
-    "repro.parallel.backends": ("BACKENDS", "DistributedFactorization",
+    "repro.parallel.backends": ("DistributedFactorization",
                                 "factor_distributed"),
-    "repro.parallel.mp_backend": ("MPRun", "MPSolveRun", "SCHEDULES",
+    "repro.parallel.mp_backend": ("MPRun", "MPSolveRun",
                                   "mp_factorization", "mp_triangular_solve",
                                   "multiprocess_available"),
 })
@@ -51,7 +56,6 @@ __all__ = [
     "SpreadLayout",
     "make_layout",
     "simulate_factorization",
-    "simulate_solve",
     "simulate_triangular_solve",
     "SimulatedRun",
     "analytic_factor_time",

@@ -46,6 +46,7 @@ from repro.errors import (
     MultiprocessUnavailableError,
     NotPositiveDefiniteError,
 )
+from repro.engine.plan import BACKENDS
 from repro.parallel.distributions import BlockCyclicLayout
 from repro.parallel.driver import (
     simulate_factorization,
@@ -58,10 +59,7 @@ from repro.parallel.mp_backend import (
 )
 from repro.utils.lintools import as_panel, from_panel
 
-__all__ = ["BACKENDS", "DistributedFactorization", "factor_distributed"]
-
-#: Legal values of ``SolverPlan.backend``.
-BACKENDS = ("simulated", "multiprocess")
+__all__ = ["DistributedFactorization", "factor_distributed"]
 
 
 @dataclass(init=False)
@@ -281,6 +279,6 @@ def factor_distributed(op, pl) -> DistributedFactorization:
                     "Multiprocess-backend requests served by the "
                     "simulator instead"
                 ).inc(1)
-        run = simulate_factorization(op, plan=pl, program=schedule)
+        run = simulate_factorization(op, plan=pl)
         sp.set(version=run.layout.version, simulated_seconds=run.time)
         return _from_run(run, pl, backend="simulated", reason=reason)

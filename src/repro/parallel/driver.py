@@ -17,27 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.blas.cray import T3DNetworkParameters, t3d_node_model
-from repro.core.generator import spd_generator
 from repro.core.packed import PackedUpper
 from repro.errors import (
     BreakdownError,
     DistributionError,
     NotPositiveDefiniteError,
-    ShapeError,
 )
 from repro.machine.network import Torus3D
 from repro.machine.simulator import Machine, MachineReport
-from repro.parallel.distributions import (
-    BlockCyclicLayout,
-    SpreadLayout,
-    make_layout,
-)
-from repro.parallel.spmd import block_cyclic_program, spread_program
+from repro.parallel.distributions import BlockCyclicLayout
+from repro.parallel.spmd import resolve_run
 from repro.toeplitz.block_toeplitz import SymmetricBlockToeplitz
 from repro.utils.lintools import as_panel, from_panel
 
 __all__ = ["SimulatedRun", "simulate_factorization",
-           "simulate_triangular_solve", "simulate_solve"]
+           "simulate_triangular_solve"]
 
 
 @dataclass
@@ -81,7 +75,7 @@ def simulate_factorization(t: SymmetricBlockToeplitz,
                            topology=None,
                            collect: bool = True,
                            trace: bool = False,
-                           program: str = "bulk") -> SimulatedRun:
+                           schedule: str | None = None) -> SimulatedRun:
     """Factor ``t`` on a simulated ``nproc``-PE machine.
 
     Parameters
@@ -97,8 +91,9 @@ def simulate_factorization(t: SymmetricBlockToeplitz,
         3 with ``spread = 1/b``.  Ignored when ``layout`` is given.
     plan : repro.engine.SolverPlan, optional
         A machine-tuned plan: supplies ``nproc``, the distribution
-        parameter ``b`` (hence the Version 1/2/3 layout) and the
-        reflector representation, unless overridden explicitly.
+        parameter ``b`` (hence the Version 1/2/3 layout), the
+        reflector representation and the schedule, unless overridden
+        explicitly.
     representation : str
         Block reflector representation (affects both compute cost and
         broadcast volume).
@@ -106,9 +101,13 @@ def simulate_factorization(t: SymmetricBlockToeplitz,
         Default to the paper's T3D parameterization.
     collect : bool
         Gather and assemble ``R`` (turn off for large timing sweeps).
-    program : str
-        ``"bulk"`` (the paper's barrier-synchronized loop) or
-        ``"lookahead"`` (the §6.5 overlap variant; Version 1, NP ≥ 2).
+    schedule : str
+        ``"bulk"`` (the paper's barrier-synchronized loop, the default)
+        or ``"lookahead"`` (the §6.5 overlap variant; Version 1, NP ≥ 2).
+
+    The run is resolved and checked by
+    :func:`~repro.parallel.spmd.resolve_run`, as on real processes
+    (:func:`~repro.parallel.mp_backend.mp_factorization`).
 
     Returns
     -------
@@ -122,55 +121,19 @@ def simulate_factorization(t: SymmetricBlockToeplitz,
         When a pivot breaks down (some leading principal minor of ``t``
         is not positive), as in the serial and multiprocess factors.
     """
-    if plan is not None:
-        if nproc is None:
-            nproc = plan.nproc
-        if layout is None and plan.distribution_b is not None:
-            b = plan.distribution_b
-        if representation is None:
-            representation = plan.representation
-    if representation is None:
-        representation = "vy2"
-    if nproc is None:
-        raise DistributionError(
-            "nproc is required (directly or through a SolverPlan)")
-    if layout is None:
-        layout = make_layout(nproc, b=b)
-    if node_model is None:
-        node_model = t3d_node_model()
-    if network is None:
-        network = T3DNetworkParameters()
-    g = spd_generator(t)
+    layout, g, program, representation, _schedule = resolve_run(
+        t, nproc, b=b, plan=plan, layout=layout,
+        representation=representation, schedule=schedule)
     m, p = g.block_size, g.num_blocks
-    if p < 2:
-        raise ShapeError("need at least 2 block columns to factor")
-    if program not in ("bulk", "lookahead"):
-        raise DistributionError(f"unknown program {program!r}")
-    if isinstance(layout, BlockCyclicLayout):
-        if program == "lookahead":
-            from repro.parallel.lookahead import \
-                block_cyclic_lookahead_program as prog
-        else:
-            prog = block_cyclic_program
-    elif isinstance(layout, SpreadLayout):
-        if program == "lookahead":
-            raise DistributionError(
-                "lookahead is implemented for the Version 1 layout")
-        if not np.all(g.w[:m] == 1):
-            raise DistributionError(
-                "the spread (Version 3) program supports the SPD "
-                "signature only")
-        layout.chunk_width(m)         # validates m % spread == 0
-        prog = spread_program
-    else:
-        raise DistributionError(f"unknown layout {layout!r}")
     packed = PackedUpper.zeros(m * p) if collect else None
-    machine = Machine(nproc, network=network,
-                      topology=topology or Torus3D(nproc), trace=trace)
+    machine = Machine(layout.nproc, network=network or T3DNetworkParameters(),
+                      topology=topology or Torus3D(layout.nproc),
+                      trace=trace)
     try:
-        report = machine.run(prog, layout=layout, m=m, p=p, w=g.w,
+        report = machine.run(program, layout=layout, m=m, p=p, w=g.w,
                              gen=g.gen, representation=representation,
-                             node_model=node_model, packed=packed)
+                             node_model=node_model or t3d_node_model(),
+                             packed=packed)
     except BreakdownError as exc:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: {exc}") from exc
@@ -231,39 +194,3 @@ def simulate_triangular_solve(run, b: np.ndarray, *,
         p=run.packed.n // m, packed=run.packed, b=panel, x=x,
         node_model=node_model)
     return from_panel(x, single), solve_report
-
-
-def simulate_solve(t: SymmetricBlockToeplitz, b: np.ndarray, nproc: int, *,
-                   bdist: float = 1,
-                   representation: str = "vy2",
-                   node_model=None,
-                   network: T3DNetworkParameters | None = None,
-                   topology=None,
-                   trace: bool = False
-                   ) -> tuple[np.ndarray, SimulatedRun, MachineReport]:
-    """Factor *and* solve ``T x = b`` on the simulated machine.
-
-    Runs the distributed factorization (keeping the factor in packed
-    storage, each PE's block columns written by that PE) followed by the
-    distributed triangular solves of :mod:`repro.parallel.spmd_solve`.
-    ``b`` may be a vector or an ``n × k`` panel.  Versions 1/2 layouts
-    only (the solve sweeps assume whole block columns).
-
-    Returns ``(x, factorization_run, solve_report)``.
-    """
-    if bdist < 1:
-        raise DistributionError(
-            "the distributed solve supports Versions 1/2 (b ≥ 1)")
-    layout = make_layout(nproc, b=bdist)
-    if node_model is None:
-        node_model = t3d_node_model()
-    if network is None:
-        network = T3DNetworkParameters()
-    run = simulate_factorization(
-        t, nproc, layout=layout, representation=representation,
-        node_model=node_model, network=network, topology=topology,
-        collect=True, trace=trace)
-    x, solve_report = simulate_triangular_solve(
-        run, b, node_model=node_model, network=network,
-        topology=topology, trace=trace)
-    return x, run, solve_report

@@ -28,38 +28,66 @@ the per-step critical path drops from ``apply + build + bcast`` toward
 to the serial factorization (tests diff them); the benchmark harness
 measures the simulated speedup over the plain Version 1 program.
 
-Layout restriction: Version 1 (cyclic, one block per PE), NP ≥ 2.
+The program is written once for both executors.  It communicates and
+books its phases through four generator methods of a transport
+(``recv``, ``put``, ``bcast``, ``compute``): :class:`Ops`, the default,
+yields the simulator's ops; on real processes
+(:mod:`repro.parallel.mp_backend`) they read and write shared slots and
+return without yielding, because the schedule sends about one message
+per block-step and building and interpreting an op for each would cost
+more than the work.
+
+Layout restriction: Version 1 (cyclic, one block per PE), NP ≥ 2
+(checked by :func:`~repro.parallel.spmd.resolve_run`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.schur_spd import eliminate_block
-from repro.errors import DistributionError
 from repro.machine.ops import Broadcast, Compute, Put, Recv
 from repro.parallel import costs
 from repro.parallel.distributions import BlockCyclicLayout
-from repro.parallel.spmd import column_index
+from repro.parallel.spmd import build_transform, column_index
 
-__all__ = ["block_cyclic_lookahead_program"]
+__all__ = ["Ops", "block_cyclic_lookahead_program"]
+
+
+class Ops:
+    """The simulator's transport: each method yields one op.
+
+    ``put`` ships a copy of ``block`` (the sender keeps updating it);
+    ``recv`` and ``bcast`` return the payload.
+    """
+
+    def recv(self, src, tag):
+        return (yield Recv(src=src, tag=tag))
+
+    def put(self, dest, tag, block):
+        yield Put(dest=dest, tag=tag, payload=block.copy(),
+                  words=block.size, category="shift")
+
+    def bcast(self, root, payload, words):
+        return (yield Broadcast(root=root, payload=payload, words=words,
+                                category="broadcast"))
+
+    def compute(self, seconds, category):
+        yield Compute(seconds, category=category)
 
 
 def block_cyclic_lookahead_program(ctx, *, layout: BlockCyclicLayout,
                                    m: int, p: int, w: np.ndarray,
                                    gen: np.ndarray,
                                    representation: str = "vy2",
-                                   node_model=None, packed=None):
+                                   node_model=None, packed=None,
+                                   comm=Ops()):
     """Lookahead rank program (Version 1 layout, NP ≥ 2).
 
     ``gen`` and ``packed`` as in
-    :func:`~repro.parallel.spmd.block_cyclic_program`.
+    :func:`~repro.parallel.spmd.block_cyclic_program`; ``comm`` is the
+    transport (see the module docstring).
     """
-    rank, nproc = ctx.rank, ctx.nproc
-    if layout.group_size != 1:
-        raise DistributionError("lookahead implemented for Version 1")
-    if nproc < 2:
-        raise DistributionError("lookahead needs at least 2 PEs")
+    rank = ctx.rank
     my_blocks = layout.blocks_of(rank, p)
     data = gen[:, column_index([j * m for j in my_blocks], m)]
     pos = {j: idx for idx, j in enumerate(my_blocks)}
@@ -82,77 +110,61 @@ def block_cyclic_lookahead_program(ctx, *, layout: BlockCyclicLayout,
     def advance(j, to_step):
         """Bring block ``j`` up to ``to_step`` (stops before its own
         pivot turn)."""
-        while state[j] < min(to_step, j - 1):
-            s = state[j] + 1
-            upj = yield Recv(src=layout.owner(j - 1), tag=("up", s, j))
-            upper_block(j)[:] = upj
+        up, low = upper_block(j), lower_block(j)
+        src, dest = layout.owner(j - 1), layout.owner(j + 1)
+        for s in range(state[j] + 1, min(to_step, j - 1) + 1):
+            up[:] = yield from comm.recv(src, ("up", s, j))
             u_blk, neg = u_cache[s]
-            u_blk.apply_pair(upper_block(j), lower_block(j))
+            u_blk.apply_pair(up, low)
             if neg.size:
-                upper_block(j)[neg] *= -1.0
-            yield Compute(app_time, category="application")
+                up[neg] *= -1.0
+            yield from comm.compute(app_time, "application")
             if j <= p - 2:
-                yield Put(dest=layout.owner(j + 1),
-                          tag=("up", s + 1, j + 1),
-                          payload=upper_block(j).copy(), words=m * m,
-                          category="shift")
+                yield from comm.put(dest, ("up", s + 1, j + 1), up)
             state[j] = s
             if packed is not None:
-                packed.write_block(s * m, j * m, upper_block(j))
+                packed.write_block(s * m, j * m, up)
+                yield from comm.compute(0.0, "gather")
 
     if packed is not None:
         for j in my_blocks:
             packed.write_block(0, j * m, upper_block(j))
+        yield from comm.compute(0.0, "gather")
 
     # Initial shift round: block j's upper at step 1 is the initial
     # upper of block j−1; block 0's heads the pivot chain.
     for j in my_blocks:
-        if j == 0 and p >= 2:
-            yield Put(dest=layout.owner(1), tag=("pivot", 1),
-                      payload=upper_block(0).copy(), words=m * m,
-                      category="shift")
-        elif 1 <= j <= p - 2:
-            yield Put(dest=layout.owner(j + 1), tag=("up", 1, j + 1),
-                      payload=upper_block(j).copy(), words=m * m,
-                      category="shift")
+        if j == 0:
+            yield from comm.put(layout.owner(1), ("pivot", 1),
+                                upper_block(0))
+        elif j <= p - 2:
+            yield from comm.put(layout.owner(j + 1), ("up", 1, j + 1),
+                                upper_block(j))
 
+    words = costs.transform_words(representation, m) + m
     for i in range(1, p):
         pivot_owner = layout.owner(i)
         payload = None
         if rank == pivot_owner:
             yield from advance(i, i - 1)
-            up = np.array((yield Recv(src=layout.owner(i - 1),
-                                      tag=("pivot", i))))
-            low = lower_block(i)
-            collected = []
-            eliminate_block(up, low, w, representation=representation,
-                            panel=None, pivot_sign_fixup=False,
-                            collect=collected)
-            u_block = collected[0]
-            negrows = np.nonzero(np.diag(up) < 0)[0]
-            if negrows.size:
-                up[negrows] *= -1.0
-            upper_block(i)[:] = up
+            up = upper_block(i)
+            up[:] = yield from comm.recv(layout.owner(i - 1), ("pivot", i))
+            payload = build_transform(up, lower_block(i), w, representation)
+            yield from comm.compute(build_time, "blocking")
             if packed is not None:
                 packed.write_block(i * m, i * m, up)
-            payload = (u_block, negrows)
-            yield Compute(build_time, category="blocking")
+                yield from comm.compute(0.0, "gather")
             if i + 1 < p:
-                yield Put(dest=layout.owner(i + 1), tag=("pivot", i + 1),
-                          payload=up.copy(), words=m * m,
-                          category="shift")
+                yield from comm.put(layout.owner(i + 1), ("pivot", i + 1), up)
 
-        words = costs.transform_words(representation, m) + m
-        u_cache[i] = yield Broadcast(root=pivot_owner, payload=payload,
-                                     words=words, category="broadcast")
+        u_cache[i] = yield from comm.bcast(pivot_owner, payload, words)
 
         # Depth-1 lookahead: the next pivot owner advances only its
         # pivot block before rushing to the next build; everyone else
         # brings all live blocks current.
-        am_next_owner = (i + 1 < p and rank == layout.owner(i + 1))
-        live = [j for j in my_blocks if j > i]
-        if am_next_owner:
+        if i + 1 < p and rank == layout.owner(i + 1):
             yield from advance(i + 1, i)
         else:
-            for j in live:
-                yield from advance(j, i)
+            for j in my_blocks:
+                if j > i:
+                    yield from advance(j, i)

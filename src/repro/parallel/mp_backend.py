@@ -9,12 +9,14 @@ PE, the ``2m × mp`` generator and the packed factor in shared segments
 deciding which PE owns which block columns (Versions 1/2) or column
 chunks (Version 3).
 
-One program, two executors.  The bulk factorization
-(:func:`~repro.parallel.spmd.block_cyclic_program`,
+One program, two executors.  Every program is the simulator's own
+generator program, resolved and checked by the same
+:func:`~repro.parallel.spmd.resolve_run` as a simulated run; each worker
+process runs its rank's program (:func:`_program_worker`).  The bulk
+factorization (:func:`~repro.parallel.spmd.block_cyclic_program`,
 :func:`~repro.parallel.spmd.spread_program`) and the triangular solve
-(:func:`~repro.parallel.spmd_solve.triangular_solve_program`) are the
-simulator's own generator programs; each worker process runs its rank's
-program and *interprets* the ops it yields:
+(:func:`~repro.parallel.spmd_solve.triangular_solve_program`) run under
+the op executor, which *interprets* the ops they yield:
 
 * ``Put``/``Recv`` — one single-writer, single-reader byte ring per
   ordered rank pair, all in one shared segment.  A record carries the
@@ -33,8 +35,14 @@ cannot deadlock, and it honours the poison flag and the timeout.  The
 programs write their blocks of ``R`` (and of the solution ``x``) straight
 into the shared segments, so nothing is gathered afterwards.
 
-The Section-7 **lookahead** schedule is the one hand port left
-(:func:`_lookahead_worker`, see its docstring for why).
+The Section-7 **lookahead** program
+(:func:`~repro.parallel.lookahead.block_cyclic_lookahead_program`)
+communicates through a transport it is handed instead of yielding ops:
+here :class:`_Slots`, write-once shared slots and flags whose methods
+return without yielding.  It sends one message per block-step (about
+16k per rank at n = 1024, m = 4, NP = 2), and building and interpreting
+an op for each cost more than the work: 1,221–1,889 ms against 718–795
+ms for a hand port of the schedule in the same runs.
 
 Counters come from the ops, by the simulator's rules (shift words
 ``Σ Put.words``, messages ``Σ max(1, Put.count)``, broadcast words
@@ -77,9 +85,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import repro.obs as obs
-from repro.core.generator import spd_generator
 from repro.core.packed import PackedUpper, packed_size
-from repro.core.schur_spd import eliminate_block
 from repro.errors import (
     BreakdownError,
     DistributionError,
@@ -91,17 +97,9 @@ from repro.machine.ops import Barrier, Broadcast, Compute, Put, Recv, Reduce
 from repro.obs.export import merge_rank_traces, span_records
 from repro.obs.schema import SOURCE_MULTIPROCESS
 from repro.obs.spans import Span
-from repro.parallel import costs, transport
-from repro.parallel.distributions import (
-    BlockCyclicLayout,
-    SpreadLayout,
-    make_layout,
-)
-from repro.parallel.spmd import (
-    block_cyclic_program,
-    column_index,
-    spread_program,
-)
+from repro.parallel import transport
+from repro.parallel.distributions import BlockCyclicLayout, SpreadLayout
+from repro.parallel.spmd import resolve_run
 from repro.parallel.spmd_solve import triangular_solve_program
 from repro.parallel.transport import SegmentHandle
 from repro.toeplitz.block_toeplitz import SymmetricBlockToeplitz
@@ -113,21 +111,11 @@ __all__ = [
     "mp_factorization",
     "mp_triangular_solve",
     "multiprocess_available",
-    "SCHEDULES",
 ]
 
 #: Seconds a worker waits (at a barrier, for a message or on a
 #: lookahead slot) before declaring the run wedged.
 _BARRIER_TIMEOUT = 300.0
-
-#: Legal values of the factorization schedule.
-SCHEDULES = ("bulk", "lookahead")
-
-
-#: Pickle-slot bytes reserved per step for the shipped ``U_i`` — sized
-#: far above the few-KB reflector payloads (measured ~2.5 KB at m=8).
-def _u_slot_bytes(m: int) -> int:
-    return 256 * m * m + 16384
 
 
 # ----------------------------------------------------------------------
@@ -522,12 +510,15 @@ class _Executor:
         return value
 
 
-def _program_worker(rank, nproc, program, kwargs, comm_h, barrier, queue):
-    """One PE running a simulator program under :class:`_Executor`.
+def _program_worker(rank, nproc, program, kwargs, comm, barrier, queue):
+    """One PE running a simulator program.
 
     ``kwargs`` are the program's keyword arguments, with segment
     handles for the shared arrays; ``packed`` is wrapped as the
     order-``m·p`` :class:`~repro.core.packed.PackedUpper` it holds.
+    ``comm`` is the ring segment the :class:`_Executor` interprets the
+    program's ops over or, for the lookahead program, the segments of
+    its :class:`_Slots` transport by name.
     """
     with _WorkerScope(rank, queue, barrier) as scope:
         args = {key: scope.attach(v) if isinstance(v, SegmentHandle) else v
@@ -535,193 +526,133 @@ def _program_worker(rank, nproc, program, kwargs, comm_h, barrier, queue):
         if args.get("packed") is not None:
             args["packed"] = PackedUpper(args["packed"],
                                          args["m"] * args["p"])
-        executor = _Executor(rank, nproc, scope.attach(comm_h), barrier)
-        scope.poison = executor.poison
+        if isinstance(comm, dict):
+            runner = _Slots(rank, nproc, {name: scope.attach(h)
+                                          for name, h in comm.items()})
+        else:
+            runner = _Executor(rank, nproc, scope.attach(comm), barrier)
+        scope.poison = runner.poison
         _maybe_crash(rank, "attach")
         t_start = time.perf_counter()
-        executor.run(program, **args)
-        scope.finish(t_start, executor.phases, executor.counts)
+        runner.run(program, **args)
+        scope.finish(t_start, runner.phases, runner.counts)
 
 
 # ----------------------------------------------------------------------
-# The lookahead port
+# The lookahead program's transport
 # ----------------------------------------------------------------------
-def _lookahead_worker(rank, nproc, gen_h, r_h, ups_h, upflag_h, piv_h,
-                      pivflag_h, uslot_h, ulen_h, poison_h, m, p, w, layout,
-                      representation, queue):
-    """One PE of the Section-7 lookahead schedule (Version 1, NP ≥ 2).
+def _slot_segments(sess, m: int, p: int) -> dict[str, SegmentHandle]:
+    """The shared arrays of a lookahead run's :class:`_Slots`, by name."""
+    specs = {
+        "ups": ((p, p, m, m), np.float64),
+        "upflag": ((p, p), np.int64),
+        "piv": ((p, m, m), np.float64),
+        "pivflag": ((p,), np.int64),
+        # Pickle bytes per step for the shipped transform: far above
+        # the few-KB payloads (measured ~2.5 KB at m = 8).
+        "uslot": ((p, 256 * m * m + 16384), np.uint8),
+        "ulen": ((p,), np.int64),
+        "poison": ((1,), np.int64),
+    }
+    return {name: sess.ndarray(shape, dtype=dtype)[1]
+            for name, (shape, dtype) in specs.items()}
 
-    A barrier-free port of
-    :func:`repro.parallel.lookahead.block_cyclic_lookahead_program`:
-    the simulated program's ``Put``/``Recv`` pairs become write-once
-    slots + flags, its per-step ``Broadcast`` of the built ``U_i``
-    becomes one pickled slot written by the pivot owner — so the serial
-    build happens once per step instead of ``NP`` times — and all
-    synchronization is dataflow (each PE blocks only on the specific
-    slot it needs next).  Comm counters mirror the simulated program's
-    operations one for one.
 
-    Why a port and not the program under :class:`_Executor`: the
-    schedule works block by block — about 16k block-steps per rank at
-    n = 1024, m = 4, NP = 2, each a ``Recv``, a ``Compute`` and a
-    ``Put`` of one ``m × m`` block — so the generator, op and framing
-    work per block-step adds up.  Interpreted over the rings, that
-    factor took 1,221–1,889 ms against 718–795 ms for this port in the
-    same runs (four pairs, bitwise-equal ``R``, equal shift words); a
-    variant over tag-addressed shared slots with slotted op classes
-    still read 860–905 against 757–784 ms (2-vCPU host, one BLAS
-    thread).
+class _Slots:
+    """The lookahead program's transport on real processes.
+
+    The upper block ``("up", s, j)`` is written once into ``ups[s, j]``
+    and the pivot-chain block ``("pivot", i)`` into ``piv[i]``, each
+    then flagged; the step-``i`` broadcast is the transform pickled
+    into ``uslot[i]`` by the pivot owner, which builds it once, with its
+    length in ``ulen[i]``.  The methods are generators that return
+    without yielding, so the program runs without building or
+    interpreting one op per block-step.  Counters follow the
+    simulator's rules and phases the executor's, except that time
+    blocked on a broadcast is ``wait``: the schedule has no barrier.
     """
-    with _WorkerScope(rank, queue) as scope:
-        gen = scope.attach(gen_h)
-        poison = scope.poison = scope.attach(poison_h)
-        _maybe_crash(rank, "attach")
-        ups, upflag = scope.attach(ups_h), scope.attach(upflag_h)
-        piv, pivflag = scope.attach(piv_h), scope.attach(pivflag_h)
-        uslot, ulen = scope.attach(uslot_h), scope.attach(ulen_h)
-        r = None if r_h is None else PackedUpper(scope.attach(r_h), m * p)
 
-        my_blocks = layout.blocks_of(rank, p)
-        # Private working copy of this PE's block columns (the shared
-        # generator segment is read-only input).
-        data = gen[:, column_index([j * m for j in my_blocks], m)]
-        pos = {j: idx for idx, j in enumerate(my_blocks)}
-        state = {j: 0 for j in my_blocks}
-        u_cache: dict[int, tuple] = {}
-        phases = _Phases()
-        shift_words = shift_messages = 0
-        bcast_words = 0
-        tw = costs.transform_words(representation, m) + m
-        t_start = time.perf_counter()
+    def __init__(self, rank: int, nproc: int, slots: dict):
+        self.rank = rank
+        self.nproc = nproc
+        self.ups, self.upflag = slots["ups"], slots["upflag"]
+        self.piv, self.pivflag = slots["piv"], slots["pivflag"]
+        self.uslot, self.ulen = slots["uslot"], slots["ulen"]
+        self.poison = slots["poison"]
+        self.phases = _Phases()
+        self.counts = {"shift_words": 0, "shift_messages": 0,
+                       "broadcast_words": 0}
+        self._bcasts = 0
+        # The ``step`` crash hook, armed only when it is set for this
+        # rank: the methods run once per block-step.
+        self._crash_hook = \
+            os.environ.get("REPRO_MP_CRASH", "") == f"{rank}:step"
 
-        def upper(j):
-            return data[:m, pos[j] * m:(pos[j] + 1) * m]
+    def run(self, program, **kwargs):
+        self.phases.start()
+        ctx = SimpleNamespace(rank=self.rank, nproc=self.nproc)
+        for op in program(ctx, comm=self, **kwargs):
+            raise DistributionError(f"unexpected operation {op!r}")
 
-        def lower(j):
-            return data[m:, pos[j] * m:(pos[j] + 1) * m]
+    def _slot(self, tag):
+        if tag[0] == "up":
+            return self.ups, self.upflag, tag[1:]
+        return self.piv, self.pivflag, tag[1]
 
-        def wait_for(flags, idx, what):
-            if not flags[idx]:
-                phases.start()
-                _wait(lambda: flags[idx], poison, what)
-                phases.stop("wait")
+    def _await(self, flags, idx, what: str) -> None:
+        _wait(lambda: flags[idx], self.poison, what)
+        self.phases.stop("wait")
 
-        def put_up(s, tgt, blk):
-            nonlocal shift_words, shift_messages
-            phases.start()
-            ups[s, tgt] = blk
-            upflag[s, tgt] = 1
-            shift_words += m * m
-            shift_messages += 1
-            phases.stop("shift")
+    def recv(self, src, tag):
+        self.phases.stop("shift")
+        slots, flags, idx = self._slot(tag)
+        if not flags[idx]:
+            self._await(flags, idx, f"{tag!r} from rank {src}")
+        if self._crash_hook:
+            _maybe_crash(self.rank, "step")
+        return slots[idx]
+        yield                           # a generator that never yields
 
-        def put_pivot(i, blk):
-            nonlocal shift_words, shift_messages
-            phases.start()
-            piv[i] = blk
-            pivflag[i] = 1
-            shift_words += m * m
-            shift_messages += 1
-            phases.stop("shift")
+    def put(self, dest, tag, block):
+        slots, flags, idx = self._slot(tag)
+        slots[idx] = block
+        flags[idx] = 1
+        self.counts["shift_words"] += block.size
+        self.counts["shift_messages"] += 1
+        self.phases.stop("shift")
+        if self._crash_hook:
+            _maybe_crash(self.rank, "step")
+        return
+        yield
 
-        def advance(j, to_step):
-            """Bring block ``j`` up to ``to_step`` (stops before its
-            own pivot turn)."""
-            while state[j] < min(to_step, j - 1):
-                s = state[j] + 1
-                wait_for(upflag[s], j, f"up({s},{j})")
-                upper(j)[:] = ups[s, j]
-                u_blk, neg = u_cache[s]
-                phases.start()
-                u_blk.apply_pair(upper(j), lower(j))
-                if neg.size:
-                    upper(j)[neg] *= -1.0
-                phases.stop("application")
-                if j <= p - 2:
-                    put_up(s + 1, j + 1, upper(j))
-                state[j] = s
-                if r is not None:
-                    phases.start()
-                    r.write_block(s * m, j * m, upper(j))
-                    phases.stop("gather")
+    def bcast(self, root, payload, words):
+        self._bcasts += 1
+        i = self._bcasts
+        self.phases.stop("broadcast")
+        if self.rank == root:
+            buf = pickle.dumps(payload, protocol=5)
+            if len(buf) > self.uslot.shape[1]:
+                raise DistributionError(
+                    f"U payload ({len(buf)} B) exceeds the "
+                    f"{self.uslot.shape[1]} B transport slot")
+            self.uslot[i, :len(buf)] = np.frombuffer(buf, dtype=np.uint8)
+            self.ulen[i] = len(buf)
+        else:
+            if not self.ulen[i]:
+                self._await(self.ulen, i, f"broadcast {i} from rank {root}")
+            payload = pickle.loads(self.uslot[i, :int(self.ulen[i])]
+                                   .tobytes())
+        self.counts["broadcast_words"] += words
+        self.phases.stop("broadcast")
+        if self._crash_hook:
+            _maybe_crash(self.rank, "step")
+        return payload
+        yield
 
-        if r is not None:
-            phases.start()
-            for j in my_blocks:
-                r.write_block(0, j * m, upper(j))
-            phases.stop("gather")
-
-        # Initial shift round: block j's upper at step 1 is the initial
-        # upper of block j−1; block 0's heads the pivot chain.
-        for j in my_blocks:
-            if j == 0 and p >= 2:
-                put_pivot(1, upper(0))
-            elif 1 <= j <= p - 2:
-                put_up(1, j + 1, upper(j))
-        _maybe_crash(rank, "step")
-
-        slot = uslot.shape[1]
-        for i in range(1, p):
-            pivot_owner = layout.owner(i)
-            if rank == pivot_owner:
-                advance(i, i - 1)
-                wait_for(pivflag, i, f"pivot({i})")
-                up = piv[i].copy()
-                low = lower(i)
-                phases.start()
-                collected: list = []
-                eliminate_block(up, low, w,
-                                representation=representation,
-                                panel=None, pivot_sign_fixup=False,
-                                collect=collected)
-                u_block = collected[0]
-                negrows = np.nonzero(np.diag(up) < 0)[0]
-                if negrows.size:
-                    up[negrows] *= -1.0
-                upper(i)[:] = up
-                phases.stop("blocking")
-                if r is not None:
-                    phases.start()
-                    r.write_block(i * m, i * m, up)
-                    phases.stop("gather")
-                if i + 1 < p:
-                    put_pivot(i + 1, up)
-                # "Broadcast": build once, ship the pickled transform.
-                phases.start()
-                buf = pickle.dumps((u_block, negrows), protocol=5)
-                if len(buf) > slot:
-                    raise DistributionError(
-                        f"U payload ({len(buf)} B) exceeds the "
-                        f"{slot} B transport slot")
-                uslot[i, :len(buf)] = np.frombuffer(buf, dtype=np.uint8)
-                ulen[i] = len(buf)
-                u_cache[i] = (u_block, negrows)
-                bcast_words += tw
-                phases.stop("broadcast")
-            else:
-                wait_for(ulen, i, f"U({i})")
-                phases.start()
-                u_cache[i] = pickle.loads(
-                    uslot[i, :int(ulen[i])].tobytes())
-                bcast_words += tw
-                phases.stop("broadcast")
-
-            # Depth-1 lookahead: the next pivot owner advances only its
-            # pivot block before rushing to the next build; everyone
-            # else brings all live blocks current.
-            am_next_owner = (i + 1 < p and rank == layout.owner(i + 1))
-            if am_next_owner:
-                advance(i + 1, i)
-            else:
-                for j in my_blocks:
-                    if j > i:
-                        advance(j, i)
-
-        scope.finish(t_start, phases, {
-            "shift_words": shift_words,
-            "shift_messages": shift_messages,
-            "broadcast_words": bcast_words,
-        })
+    def compute(self, seconds, category):
+        self.phases.stop(category)
+        return
+        yield
 
 
 # ----------------------------------------------------------------------
@@ -928,14 +859,15 @@ def mp_factorization(t: SymmetricBlockToeplitz,
     """Factor ``t`` with real OS processes, one per PE.
 
     Parameters mirror
-    :func:`~repro.parallel.driver.simulate_factorization`: ``b`` (or an
-    explicit ``layout``) selects the paper's Version 1/2/3 distribution,
-    a machine-tuned :class:`~repro.engine.SolverPlan` may supply
-    ``nproc`` / ``b`` / ``representation`` / ``schedule``, and
-    ``collect=False`` skips writing ``R`` (for
-    timing sweeps).  ``schedule="lookahead"`` runs the Section-7
-    pipelined schedule (Version 1 layout, NP ≥ 2) instead of the
-    barrier-per-step bulk program.
+    :func:`~repro.parallel.driver.simulate_factorization`, and the run is
+    resolved and checked by the same
+    :func:`~repro.parallel.spmd.resolve_run`: ``b`` (or an explicit
+    ``layout``) selects the paper's Version 1/2/3 distribution, a
+    machine-tuned :class:`~repro.engine.SolverPlan` may supply ``nproc``
+    / ``b`` / ``representation`` / ``schedule``, and ``collect=False``
+    skips writing ``R`` (for timing sweeps).  ``schedule="lookahead"``
+    runs the Section-7 pipelined schedule (Version 1 layout, NP ≥ 2)
+    instead of the barrier-per-step bulk program.
 
     Raises
     ------
@@ -949,50 +881,15 @@ def mp_factorization(t: SymmetricBlockToeplitz,
         so the engine's armed indefinite fallback takes over exactly as
         in the serial path.
     """
-    if plan is not None:
-        if nproc is None:
-            nproc = plan.nproc
-        if layout is None and plan.distribution_b is not None:
-            b = plan.distribution_b
-        if representation is None:
-            representation = plan.representation
-        if schedule is None:
-            schedule = getattr(plan, "schedule", "bulk")
-    representation = representation or "vy2"
-    schedule = schedule or "bulk"
-    if nproc is None:
-        raise DistributionError(
-            "nproc is required (directly or through a SolverPlan)")
-    if schedule not in SCHEDULES:
-        raise DistributionError(
-            f"unknown schedule {schedule!r}; expected one of {SCHEDULES}")
+    layout, g, program, representation, schedule = resolve_run(
+        t, nproc, b=b, plan=plan, layout=layout,
+        representation=representation, schedule=schedule)
     ok, reason = multiprocess_available()
     if not ok:
         raise MultiprocessUnavailableError(reason)
-    if layout is None:
-        layout = make_layout(nproc, b=b)
-    lookahead = schedule == "lookahead"
-    if lookahead:
-        if not (isinstance(layout, BlockCyclicLayout)
-                and layout.group_size == 1):
-            raise DistributionError(
-                "lookahead is implemented for the Version 1 layout")
-        if nproc < 2:
-            raise DistributionError("lookahead needs at least 2 PEs")
-    elif not isinstance(layout, (BlockCyclicLayout, SpreadLayout)):
-        raise DistributionError(f"unknown layout {layout!r}")
-
-    g = spd_generator(t)              # NotPositiveDefiniteError up front
+    nproc = layout.nproc
     m, p = g.block_size, g.num_blocks
     n = m * p
-    if p < 2:
-        raise ShapeError("need at least 2 block columns to factor")
-    if isinstance(layout, SpreadLayout):
-        layout.chunk_width(m)         # validates m % spread == 0
-        if not np.all(g.w[:m] == 1):
-            raise DistributionError(
-                "the spread (Version 3) program supports the SPD "
-                "signature only")
 
     ctx = transport.context()
     barrier = None
@@ -1001,9 +898,11 @@ def mp_factorization(t: SymmetricBlockToeplitz,
             gen_arr, gen_h = sess.ndarray(g.gen.shape)
             r_seg, r_h = (sess.ndarray((packed_size(n),)) if collect
                           else (None, None))
-            if not lookahead:
+            if schedule == "lookahead":
+                comm = _slot_segments(sess, m, p)
+            else:
                 barrier = sess.barrier(nproc)
-                comm_h = _comm_segment(
+                comm = _comm_segment(
                     sess, nproc, _ring_bytes(_largest_shift(layout, m, p), m))
             queue = sess.queue()
         except (OSError, PermissionError, ValueError) as exc:
@@ -1011,30 +910,11 @@ def mp_factorization(t: SymmetricBlockToeplitz,
                 f"could not allocate shared resources: {exc}") from exc
         gen_arr[:] = g.gen
 
-        if lookahead:
-            ups, ups_h = sess.ndarray((p, p, m, m))
-            upflag, upflag_h = sess.ndarray((p, p), dtype=np.int64)
-            piv, piv_h = sess.ndarray((p, m, m))
-            pivflag, pivflag_h = sess.ndarray((p,), dtype=np.int64)
-            uslot, uslot_h = sess.ndarray((p, _u_slot_bytes(m)),
-                                          dtype=np.uint8)
-            ulen, ulen_h = sess.ndarray((p,), dtype=np.int64)
-            poison, poison_h = sess.ndarray((1,), dtype=np.int64)
-            args = (gen_h, r_h, ups_h, upflag_h, piv_h, pivflag_h,
-                    uslot_h, ulen_h, poison_h, m, p, g.w, layout,
-                    representation, queue)
-            worker = _lookahead_worker
-        else:
-            program = (block_cyclic_program
-                       if isinstance(layout, BlockCyclicLayout)
-                       else spread_program)
-            kwargs = dict(layout=layout, m=m, p=p, w=g.w, gen=gen_h,
-                          representation=representation, packed=r_h)
-            args = (program, kwargs, comm_h, barrier, queue)
-            worker = _program_worker
-
-        payloads, wall = _run_workers(ctx, worker, nproc, args, queue,
-                                      barrier)
+        kwargs = dict(layout=layout, m=m, p=p, w=g.w, gen=gen_h,
+                      representation=representation, packed=r_h)
+        payloads, wall = _run_workers(
+            ctx, _program_worker, nproc,
+            (program, kwargs, comm, barrier, queue), queue, barrier)
 
         packed = None
         if collect:

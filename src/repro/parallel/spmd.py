@@ -45,19 +45,127 @@ import bisect
 
 import numpy as np
 
-from repro.core.schur_spd import ColumnStep, eliminate_block
-from repro.errors import DistributionError
+from repro.core.generator import spd_generator
+from repro.core.schur_spd import ColumnStep, SchurOptions
+from repro.errors import DistributionError, ShapeError
 from repro.machine.ops import Barrier, Broadcast, Compute, Put, Recv
 from repro.parallel import costs
-from repro.parallel.distributions import BlockCyclicLayout, SpreadLayout
+from repro.parallel.distributions import (
+    BlockCyclicLayout,
+    SpreadLayout,
+    make_layout,
+)
 
-__all__ = ["block_cyclic_program", "spread_program",
-            "build_partial_transform", "column_index"]
+__all__ = ["block_cyclic_program", "spread_program", "build_transform",
+           "column_index", "resolve_run"]
 
 
 #: Ends each write of ``R``: free on the simulator, timed as the
 #: ``gather`` phase on real processes.
 GATHER = Compute(0.0, "gather")
+
+
+def resolve_run(t, nproc: int | None = None, *, b: float = 1, plan=None,
+                layout=None, representation: str | None = None,
+                schedule: str | None = None):
+    """Resolve and check one distributed factorization of ``t``.
+
+    The one front end of both executors
+    (:func:`~repro.parallel.driver.simulate_factorization` and
+    :func:`~repro.parallel.mp_backend.mp_factorization`): ``plan``
+    supplies ``nproc``, ``b``, ``representation`` and ``schedule``
+    unless they are given; ``b`` (or an explicit ``layout``) selects the
+    Version 1/2/3 distribution.  Returns ``(layout, generator, program,
+    representation, schedule)``.
+
+    Raises
+    ------
+    DistributionError
+        Without ``nproc``, for an unknown schedule or layout, for
+        lookahead off the Version 1 layout or on one PE, and for Version
+        3 unless the signature is SPD and ``spread`` divides ``m``.
+    ShapeError
+        For fewer than 2 block columns.
+    NotPositiveDefiniteError
+        When the leading block is not positive definite.
+    """
+    from repro.engine.plan import SCHEDULES
+
+    if plan is not None:
+        if nproc is None:
+            nproc = plan.nproc
+        if layout is None and plan.distribution_b is not None:
+            b = plan.distribution_b
+        representation = representation or plan.representation
+        schedule = schedule or getattr(plan, "schedule", "bulk")
+    representation = representation or "vy2"
+    schedule = schedule or "bulk"
+    if schedule not in SCHEDULES:
+        raise DistributionError(
+            f"unknown schedule {schedule!r}; expected one of {SCHEDULES}")
+    if layout is None:
+        if nproc is None:
+            raise DistributionError(
+                "nproc is required (directly or through a SolverPlan)")
+        layout = make_layout(nproc, b=b)
+    m = t.block_size
+    if schedule == "lookahead":
+        from repro.parallel.lookahead import \
+            block_cyclic_lookahead_program as program
+        if not (isinstance(layout, BlockCyclicLayout)
+                and layout.group_size == 1):
+            raise DistributionError(
+                "lookahead is implemented for the Version 1 layout")
+        if layout.nproc < 2:
+            raise DistributionError("lookahead needs at least 2 PEs")
+    elif isinstance(layout, BlockCyclicLayout):
+        program = block_cyclic_program
+    elif isinstance(layout, SpreadLayout):
+        program = spread_program
+        layout.chunk_width(m)         # validates m % spread == 0
+    else:
+        raise DistributionError(f"unknown layout {layout!r}")
+    if t.num_blocks < 2:
+        raise ShapeError("need at least 2 block columns to factor")
+    g = spd_generator(t)
+    if isinstance(layout, SpreadLayout) and not np.all(g.w[:m] == 1):
+        raise DistributionError(
+            "the spread (Version 3) program supports the SPD signature only")
+    return layout, g, program, representation, schedule
+
+
+def build_transform(upper: np.ndarray, lower: np.ndarray, w: np.ndarray,
+                    representation: str = "vy2", row_offset: int = 0):
+    """Build one step's transformation ``(U, negrows)`` in place.
+
+    Eliminates the ``mc`` lower columns of a pivot block (``mc = m``) or
+    of one of its chunks (Version 3): ``upper``/``lower`` are ``m × mc``
+    views of columns ``row_offset … row_offset+mc`` of the pivot block,
+    whose pivot entries sit at rows ``row_offset + k``.  ``negrows`` are
+    the pivot rows whose diagonal came out negative; they are flipped
+    here and, by every PE, in the columns the transformation is applied
+    to.  A pivot whose hyperbolic norm falls below the serial factor's
+    ``SchurOptions.breakdown_tol`` raises
+    :class:`~repro.errors.BreakdownError`.
+    """
+    mc = upper.shape[1]
+    step = ColumnStep(w, upper.dtype,
+                      breakdown_tol=SchurOptions.breakdown_tol)
+    acc = step.accumulator(representation)
+    # Fortran-ordered working copies: the column step updates in place.
+    fu = np.asfortranarray(upper)
+    fl = np.asfortranarray(lower)
+    for k in range(mc):
+        x, beta = step(fu[:, k:], fl[:, k:], row_offset + k)
+        with step.blocking:
+            acc.push(x, beta, step.support)
+    upper[:] = fu
+    lower[:] = fl
+    diag = fu[row_offset + np.arange(mc), np.arange(mc)]
+    negrows = row_offset + np.nonzero(diag < 0)[0]
+    if negrows.size:
+        upper[negrows] *= -1.0
+    return acc.finish(), negrows
 
 
 def _charge(model, calls, category):
@@ -158,17 +266,8 @@ def block_cyclic_program(ctx, *, layout: BlockCyclicLayout, m: int, p: int,
         pivot_owner = layout.owner(i)
         payload = None
         if rank == pivot_owner:
-            collected = []
-            up = upper_block(i)
-            low = lower_block(i)
-            eliminate_block(up, low, w, representation=representation,
-                            panel=None, pivot_sign_fixup=False,
-                            collect=collected)
-            u_block = collected[0]
-            negrows = np.nonzero(np.diag(up) < 0)[0]
-            if negrows.size:
-                up[negrows] *= -1.0
-            payload = (u_block, negrows)
+            payload = build_transform(upper_block(i), lower_block(i), w,
+                                      representation)
             yield _charge(node_model,
                           costs.blocking_calls(
                               m, representation=representation),
@@ -205,36 +304,6 @@ def block_cyclic_program(ctx, *, layout: BlockCyclicLayout, m: int, p: int,
 # ----------------------------------------------------------------------
 # Version 3: spread blocks
 # ----------------------------------------------------------------------
-
-def build_partial_transform(upper: np.ndarray, lower: np.ndarray,
-                            w: np.ndarray, row_offset: int,
-                            representation: str = "vy2"):
-    """Eliminate the ``mc`` lower columns of one pivot *chunk*.
-
-    ``upper``/``lower`` are ``m × mc`` views of the chunk (columns
-    ``row_offset … row_offset+mc`` of the pivot block); the pivot entries
-    sit at rows ``row_offset + k``.  Returns ``(U, negrows)`` where
-    ``negrows`` are the pivot rows whose diagonal came out negative (to
-    be sign-flipped machine-wide).
-    """
-    mc = upper.shape[1]
-    column = ColumnStep(w, upper.dtype)
-    acc = column.accumulator(representation)
-    # Fortran-ordered working copies: the column step updates in place.
-    fu = np.asfortranarray(upper)
-    fl = np.asfortranarray(lower)
-    for k in range(mc):
-        x, beta = column(fu[:, k:], fl[:, k:], row_offset + k)
-        acc.push(x, beta, column.support)
-    upper[:] = fu
-    lower[:] = fl
-    u_block = acc.finish()
-    diag = np.array([upper[row_offset + k, k] for k in range(mc)])
-    negrows = row_offset + np.nonzero(diag < 0)[0]
-    if negrows.size:
-        upper[negrows] *= -1.0
-    return u_block, negrows
-
 
 def spread_program(ctx, *, layout: SpreadLayout, m: int, p: int,
                    w: np.ndarray, gen: np.ndarray,
@@ -289,11 +358,9 @@ def spread_program(ctx, *, layout: SpreadLayout, m: int, p: int,
             root = layout.owner(i, c)
             payload = None
             if rank == root:
-                up = upper_chunk(i, c)
-                low = lower_chunk(i, c)
-                payload = build_partial_transform(
-                    up, low, w, row_offset=c * mc,
-                    representation=representation)
+                payload = build_transform(
+                    upper_chunk(i, c), lower_chunk(i, c), w,
+                    representation, row_offset=c * mc)
                 yield _charge(node_model,
                               costs.blocking_calls(
                                   m, representation=representation,

@@ -1,9 +1,11 @@
 """Conformance over the plan space, against a dense oracle.
 
 Every registered algorithm (plus the distributed ``spd-schur`` on
-``nproc=2`` simulated) × every precision × every cache tier, on a fixed
-operator catalog: KMS, a block AR operator, a scalar operator with an
-exactly singular leading minor, and the paper's eq.-50 matrix.
+``nproc=2``: simulated on Versions 1, 2 and 3 and with the lookahead
+schedule, and on real worker processes, bulk and lookahead) × every
+precision × every cache tier, on a fixed operator catalog: KMS, a block
+AR operator, a scalar operator with an exactly singular leading minor,
+and the paper's eq.-50 matrix.
 
 Where ``plan()`` and ``execute()`` accept a combination, every answer
 has a normwise backward error η ≤ 1e-10, a cache hit equals the fresh
@@ -33,11 +35,13 @@ from repro.core.streaming import iter_r_block_rows
 from repro.engine import FactorizationCache, set_default_cache
 from repro.engine.cache_store import CacheStore, set_default_store
 from repro.errors import (
+    DistributionError,
     InvalidOptionError,
     NotPositiveDefiniteError,
     ShapeError,
     SingularMinorError,
 )
+from repro.parallel import multiprocess_available
 from repro.toeplitz import (
     ar_block_toeplitz,
     kms_toeplitz,
@@ -56,9 +60,19 @@ OPERATORS = {
 SINGULAR_MINOR = ("singular_minor", "eq50")
 
 #: ``(case id, plan kwargs)``: each registered algorithm, then the
-#: distributed SPD factorization on the simulated backend.
+#: distributed SPD factorization over its layouts, schedules and
+#: backends.
 CASES = [(name, {"algorithm": name}) for name in sorted(engine.algorithms())]
-CASES.append(("spd-schur-np2", {"algorithm": "spd-schur", "nproc": 2}))
+CASES += [(f"spd-schur-np2{suffix}",
+           {"algorithm": "spd-schur", "nproc": 2, **extra})
+          for suffix, extra in (
+              ("", {}),
+              ("-v2", {"distribution_b": 2}),
+              ("-v3", {"distribution_b": 0.5}),
+              ("-lookahead", {"schedule": "lookahead"}),
+              ("-mp", {"backend": "multiprocess"}),
+              ("-mp-lookahead", {"backend": "multiprocess",
+                                 "schedule": "lookahead"}))]
 
 #: Algorithms whose factor the persistent store keeps (serial only).
 STORED = ("spd-schur", "indefinite+refine", "gko", "gs", "pcg")
@@ -81,6 +95,9 @@ def _expected_error(kwargs: dict, precision: str, op_name: str, op):
     algorithm = kwargs["algorithm"]
     if kwargs.get("nproc", 1) > 1 and precision != "fp64":
         return InvalidOptionError
+    spread = 1 / kwargs.get("distribution_b", 1)
+    if spread > 1 and op.block_size % round(spread):
+        return DistributionError    # a Version 3 layout splits each block
     if op_name in SINGULAR_MINOR:
         if algorithm in ("spd-schur", "dense-chol"):
             return NotPositiveDefiniteError
@@ -131,6 +148,8 @@ def test_plan_space(case, precision, tier, op_name):
     fresh = engine.execute(pl, b)
     assert not fresh.cache_hit
     assert _eta(dense, fresh.x, b) <= 1e-10
+    if pl.backend == "multiprocess" and multiprocess_available()[0]:
+        assert fresh.detail.backend == "multiprocess"
 
     cacheable = engine.get_algorithm(pl.algorithm).cacheable
     again = engine.execute(pl, b)

@@ -270,7 +270,7 @@ class TestLookaheadSchedule:
         """Shift + broadcast words match the simulated lookahead."""
         t = ar_block_toeplitz(10, 4, seed=3)
         real = mp_factorization(t, 2, schedule="lookahead")
-        sim = simulate_factorization(t, 2, program="lookahead")
+        sim = simulate_factorization(t, 2, schedule="lookahead")
         assert real.words_by_rank() == sim.report.words_by_rank()
         assert real.broadcast_words_by_rank() == \
             sim.report.broadcast_words_by_rank()

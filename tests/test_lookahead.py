@@ -15,14 +15,14 @@ class TestLookaheadCorrectness:
         t = ar_block_toeplitz(11, 3, seed=nproc)
         serial = schur_spd_factor(t).r
         run = simulate_factorization(t, nproc=nproc, b=1,
-                                     program="lookahead")
+                                     schedule="lookahead")
         np.testing.assert_allclose(run.r, serial, atol=1e-10)
 
     def test_scalar_problem(self):
         t = kms_toeplitz(40, 0.6)
         serial = schur_spd_factor(t).r
         run = simulate_factorization(t, nproc=4, b=1,
-                                     program="lookahead")
+                                     schedule="lookahead")
         np.testing.assert_allclose(run.r, serial, atol=1e-11)
 
     @pytest.mark.parametrize("rep", ["vy1", "yty"])
@@ -30,7 +30,7 @@ class TestLookaheadCorrectness:
         t = ar_block_toeplitz(8, 2, seed=9)
         serial = schur_spd_factor(t).r
         run = simulate_factorization(t, nproc=3, b=1,
-                                     program="lookahead",
+                                     schedule="lookahead",
                                      representation=rep)
         np.testing.assert_allclose(run.r, serial, atol=1e-10)
 
@@ -38,13 +38,13 @@ class TestLookaheadCorrectness:
         t = ar_block_toeplitz(4, 2, seed=10)
         serial = schur_spd_factor(t).r
         run = simulate_factorization(t, nproc=6, b=1,
-                                     program="lookahead")
+                                     schedule="lookahead")
         np.testing.assert_allclose(run.r, serial, atol=1e-11)
 
     def test_collect_false(self):
         t = kms_toeplitz(32, 0.5)
         run = simulate_factorization(t, nproc=4, b=1,
-                                     program="lookahead", collect=False)
+                                     schedule="lookahead", collect=False)
         assert run.r is None
         assert run.time > 0
 
@@ -56,7 +56,7 @@ class TestLookaheadBehaviour:
         plain = simulate_factorization(t, nproc=32, b=1,
                                        collect=False).time
         look = simulate_factorization(t, nproc=32, b=1,
-                                      program="lookahead",
+                                      schedule="lookahead",
                                       collect=False).time
         assert look < plain
 
@@ -67,17 +67,17 @@ class TestLookaheadBehaviour:
         plain = simulate_factorization(t, nproc=4, b=1,
                                        collect=False).time
         look = simulate_factorization(t, nproc=4, b=1,
-                                      program="lookahead",
+                                      schedule="lookahead",
                                       collect=False).time
         assert look > 0.8 * plain  # no win expected here
 
     def test_deterministic(self):
         t = kms_toeplitz(64, 0.5).regroup(4)
         t1 = simulate_factorization(t, nproc=4, b=1,
-                                    program="lookahead",
+                                    schedule="lookahead",
                                     collect=False).time
         t2 = simulate_factorization(t, nproc=4, b=1,
-                                    program="lookahead",
+                                    schedule="lookahead",
                                     collect=False).time
         assert t1 == t2
 
@@ -86,17 +86,17 @@ class TestLookaheadValidation:
     def test_requires_version1(self):
         t = ar_block_toeplitz(8, 2, seed=11)
         with pytest.raises(DistributionError):
-            simulate_factorization(t, nproc=2, b=2, program="lookahead")
+            simulate_factorization(t, nproc=2, b=2, schedule="lookahead")
         with pytest.raises(DistributionError):
             simulate_factorization(t, nproc=2, b=0.5,
-                                   program="lookahead")
+                                   schedule="lookahead")
 
     def test_requires_two_pes(self):
         t = ar_block_toeplitz(6, 2, seed=12)
         with pytest.raises(DistributionError):
-            simulate_factorization(t, nproc=1, b=1, program="lookahead")
+            simulate_factorization(t, nproc=1, b=1, schedule="lookahead")
 
     def test_unknown_program(self):
         t = ar_block_toeplitz(6, 2, seed=13)
         with pytest.raises(DistributionError):
-            simulate_factorization(t, nproc=2, b=1, program="zzz")
+            simulate_factorization(t, nproc=2, b=1, schedule="zzz")

@@ -136,6 +136,27 @@ class TestValidation:
             simulate_factorization(t, nproc=2, b=1)
 
 
+class TestStepTransform:
+    """Every distributed build stops at a near-zero hyperbolic pivot, at
+    the serial factor's threshold."""
+
+    @pytest.mark.parametrize("m,row_offset", [(2, 0), (4, 2)])
+    def test_near_zero_pivot_breaks_down_at_the_pivot(self, m, row_offset):
+        from repro.core.generator import block_schur_signature
+        from repro.errors import BreakdownError
+        from repro.parallel.spmd import build_transform
+
+        # Two pivot columns; the first has |uᵀWu| = 2.0e-15·‖u‖².
+        upper = np.full((m, 2), 0.1)
+        upper[row_offset:row_offset + 2] = [[1.0, 0.5], [0.0, 1.0]]
+        lower = np.zeros((m, 2))
+        lower[0] = [np.sqrt(1.0 - 4e-15), 0.3]
+        lower[1, 1] = 0.2
+        with pytest.raises(BreakdownError, match="zero hyperbolic norm"):
+            build_transform(upper, lower, block_schur_signature(m),
+                            row_offset=row_offset)
+
+
 class TestAnalyticModel:
     @pytest.mark.parametrize("b", [1, 4])
     def test_tracks_simulator_block_cyclic(self, b):

@@ -386,7 +386,7 @@ def _check(got, want):
 def test_factor_programs_pinned(name):
     nproc, b, program = FACTOR_CASES[name]
     t = ar_block_toeplitz(8, 4, seed=1)
-    run = simulate_factorization(t, nproc, b=b, program=program)
+    run = simulate_factorization(t, nproc, b=b, schedule=program)
     _check(_summary(run.report), PINNED[name])
 
 

@@ -7,8 +7,16 @@ from repro.core.schur_spd import schur_spd_factor
 from repro.errors import DistributionError
 from repro.machine.ops import Reduce
 from repro.machine.simulator import Machine
-from repro.parallel import simulate_solve
+from repro.parallel import simulate_factorization, simulate_triangular_solve
 from repro.toeplitz import ar_block_toeplitz, kms_toeplitz
+
+
+def simulate_solve(t, b, nproc, bdist=1):
+    """Factor and solve ``T x = b`` on the simulated machine; returns
+    ``(x, factorization run, solve report)``."""
+    run = simulate_factorization(t, nproc, b=bdist)
+    x, report = simulate_triangular_solve(run, b)
+    return x, run, report
 
 
 class TestReduceOp:
