@@ -1,4 +1,4 @@
-"""Mixed-precision factorization: fp32/mixed factor + fp64 recovery.
+"""Mixed-precision factorization: fp32 factor + fp64 recovery.
 
 The precision axis trades factorization bandwidth for refinement
 sweeps: a float32 block Schur factorization streams half the bytes of
@@ -15,7 +15,7 @@ recommends (large algorithmic block ``m`` with a ``panel``-column inner
 sweep), which is where reduced precision pays: tiny blocks are
 dominated by precision-independent per-reflector work.
 
-Asserted: at every size the refined fp32/mixed residual is within 10×
+Asserted: at every size the refined fp32 residual is within 10×
 of the fp64 direct residual, the refinement loop converges, and
 (full-scale runs) the fp32 factorization beats fp64 by ≥ 1.5× at
 n ≥ 2048.  Results land in ``BENCH_mixed_precision.json`` (a CI
@@ -28,12 +28,12 @@ import numpy as np
 
 from repro.bench import format_table, write_json_result, write_result
 from repro.bench.runner import full_scale
+from repro.core.precision import PRECISIONS
 from repro.core.refinement import refine
 from repro.core.schur_spd import SchurOptions, schur_spd_factor
 from repro.toeplitz import ar_block_toeplitz
 from repro.toeplitz.matvec import BlockCirculantEmbedding
 
-PRECISIONS = ("fp64", "fp32", "mixed")
 RESIDUAL_RATIO_LIMIT = 10.0
 SPEEDUP_FLOOR = 1.5
 PANEL = 96
@@ -94,11 +94,10 @@ def run_size(n):
             "residual": residual,
             "refine_sweeps": sweeps,
         }
-    for prec in ("fp32", "mixed"):
-        row[prec]["factor_speedup_vs_fp64"] = (
-            row["fp64"]["factor_seconds"] / row[prec]["factor_seconds"])
-        row[prec]["residual_ratio_vs_fp64"] = (
-            row[prec]["residual"] / max(row["fp64"]["residual"], 1e-300))
+    row["fp32"]["factor_speedup_vs_fp64"] = (
+        row["fp64"]["factor_seconds"] / row["fp32"]["factor_seconds"])
+    row["fp32"]["residual_ratio_vs_fp64"] = (
+        row["fp32"]["residual"] / max(row["fp64"]["residual"], 1e-300))
     return row
 
 
@@ -111,12 +110,11 @@ def test_mixed_precision_factorization(benchmark):
              f"{c['fp32']['factor_seconds'] * 1e3:.1f}",
              f"{c['fp32']['factor_speedup_vs_fp64']:.2f}x",
              c["fp32"]["refine_sweeps"],
-             f"{c['fp32']['residual_ratio_vs_fp64']:.2f}",
-             f"{c['mixed']['residual_ratio_vs_fp64']:.2f}"]
+             f"{c['fp32']['residual_ratio_vs_fp64']:.2f}"]
             for c in cells]
     text = format_table(
         ["n", "m", "fp64_ms", "fp32_ms", "fp32_speedup", "fp32_sweeps",
-         "fp32_res_ratio", "mixed_res_ratio"],
+         "fp32_res_ratio"],
         rows,
         title=(f"Reduced-precision factor + fp64 refinement recovery "
                f"(panel={PANEL}, residual ratios vs fp64 direct solve)"))
@@ -133,12 +131,10 @@ def test_mixed_precision_factorization(benchmark):
 
     for c in cells:
         # accuracy parity: refinement recovers fp64-level residuals
-        for prec in ("fp32", "mixed"):
-            assert (c[prec]["residual_ratio_vs_fp64"]
-                    <= RESIDUAL_RATIO_LIMIT), (c["order"], prec, c[prec])
-            assert c[prec]["refine_sweeps"] >= 1, (c["order"], prec)
+        assert (c["fp32"]["residual_ratio_vs_fp64"]
+                <= RESIDUAL_RATIO_LIMIT), (c["order"], c["fp32"])
+        assert c["fp32"]["refine_sweeps"] >= 1, c["order"]
         assert c["fp32"]["factor_dtype"] == "float32", c
-        assert c["mixed"]["factor_dtype"] == "float64", c
     # bandwidth win: fp32 factors ≥ 1.5× faster once n ≥ 2048
     for c in cells:
         if c["order"] >= 2048:

@@ -21,7 +21,7 @@ Commands
     too (the report names the solve backend).  The RHS
     may be a 2-D ``n × k`` panel (batched level-3 solve path), or be
     synthesized with ``--nrhs k``; ``--profile`` then reports the
-    per-panel solve throughput.  ``--precision fp32|mixed`` (also on
+    per-panel solve throughput.  ``--precision fp32`` (also on
     ``factor``) runs the factorization reduced and recovers fp64
     accuracy through refinement.
 ``simulate <matrix> --nproc NP [--b B]``
@@ -620,6 +620,7 @@ def _cmd_bench_diff(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
+    from repro.core.precision import PRECISIONS
     from repro.engine.plan import BACKENDS, SCHEDULES
 
     parser = argparse.ArgumentParser(
@@ -676,9 +677,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "NP ≥ 2) that overlaps the serial "
                             "generator build with application work")
         p.add_argument("--precision", default="fp64",
-                       choices=["fp64", "fp32", "mixed"],
-                       help="factorization working precision; fp32/"
-                            "mixed factor reduced and recover fp64 via "
+                       choices=PRECISIONS,
+                       help="factorization working precision; fp32 "
+                            "factors reduced and recovers fp64 via "
                             "refinement (distributed plans factor at "
                             "fp64)")
 
@@ -817,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--representation", default="vy2",
                     choices=["vy1", "vy2", "yty", "unblocked", "dense"])
     pc.add_argument("--precision", default="fp64",
-                    choices=["fp64", "fp32", "mixed"])
+                    choices=PRECISIONS)
     pc.add_argument("--method", default="auto",
                     choices=["auto", "spd-schur", "indefinite+refine",
                              "gko", "gs", "levinson", "pcg",
@@ -854,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--representation", default="vy2",
                    choices=["vy1", "vy2", "yty", "unblocked", "dense"])
     p.add_argument("--precision", default="fp64",
-                   choices=["fp64", "fp32", "mixed"])
+                   choices=PRECISIONS)
     p.add_argument("--cache", default="memory",
                    choices=["memory", "persistent", "off"],
                    help="cache tiering for the served plan; "

@@ -68,7 +68,6 @@ from repro.core.condest import condest, one_norm, invnorm_estimate
 from repro.core.precision import (
     PRECISIONS,
     working_dtype,
-    elimination_dtype,
     precision_eps,
     refinement_admissible,
     validate_precision,
@@ -153,7 +152,6 @@ __all__ = [
     "invnorm_estimate",
     "PRECISIONS",
     "working_dtype",
-    "elimination_dtype",
     "precision_eps",
     "refinement_admissible",
     "validate_precision",

@@ -40,9 +40,8 @@ __all__ = [
 #: Relative time-per-flop of each precision mode versus fp64.  A flop is
 #: a flop regardless of width — what changes is the memory traffic per
 #: operand, so fp32 streams twice the elements per byte and the Hockney
-#: flop-time term halves.  ``"mixed"`` keeps fp64 storage (only the
-#: pivot columns are rounded), so it is charged at full weight.
-PRECISION_FLOP_WEIGHT = {"fp64": 1.0, "fp32": 0.5, "mixed": 1.0}
+#: flop-time term halves.
+PRECISION_FLOP_WEIGHT = {"fp64": 1.0, "fp32": 0.5}
 
 
 def precision_weight(precision: str) -> float:

@@ -130,9 +130,8 @@ class CauchyLikeLU:
     perm: np.ndarray
     block_size: int
     num_blocks: int
-    #: Precision the factorization ran at (``"fp64"``/``"fp32"``/``"mixed"``;
-    #: both reduced modes factor in complex64 — there is no hyperbolic
-    #: elimination here to split from the accumulation).
+    #: Precision the factorization ran at (``"fp64"``/``"fp32"``; fp32
+    #: factors in complex64).
     precision: str = "fp64"
     #: The ``(ĝ, b̂, d₁, d₂)`` Cauchy-like generators the LU was built
     #: from (complex128, as produced by :func:`toeplitz_to_cauchy`).
@@ -277,9 +276,8 @@ def gko_factor(t, *, precision: str = "fp64") -> CauchyLikeLU:
 
     Returns a :class:`CauchyLikeLU` whose :meth:`~CauchyLikeLU.solve`
     handles any number of right-hand sides at ``O(n²)`` each.
-    ``precision="fp32"`` (and ``"mixed"``, which has no separate meaning
-    here — there is no hyperbolic elimination to split) runs the LU in
-    complex64; route the solve through refinement for fp64 accuracy.
+    ``precision="fp32"`` runs the LU in complex64; route the solve
+    through refinement for fp64 accuracy.
     """
     validate_precision(precision)
     tg = _as_general(t)

@@ -1,20 +1,16 @@
 """Precision policy for the solver core.
 
-The package supports three plan-level precisions:
+The package supports two plan-level precisions:
 
 * ``"fp64"`` — everything in IEEE double (the historical default);
 * ``"fp32"`` — the factorization (generator, elimination, triangular
   factor) runs entirely in single precision.  Modern BLAS runs ``sgemm``
   at roughly twice the ``dgemm`` rate, so the ``O(m_s n²)`` factor costs
-  about half as much wall-clock;
-* ``"mixed"`` — generator rows and accumulated transformations stay in
-  double, but each hyperbolic pivot column is rounded through single
-  precision before its reflector is built (fp32 elimination error, fp64
-  accumulation) — the intermediate point of the accuracy/speed axis.
+  about half as much wall-clock.
 
-Every reduced-precision factorization is recovered to full accuracy by
-the Section 8 iterative-refinement loop with a double-precision residual:
-the refinement analysis (eq. 41) bounds the per-sweep contraction by
+An fp32 factorization is recovered to full accuracy by the Section 8
+iterative-refinement loop with a double-precision residual: the
+refinement analysis (eq. 41) bounds the per-sweep contraction by
 ``γ ≈ cond(T) · ε_working``, so as long as ``cond(T) · ε₃₂`` is safely
 below one, a handful of sweeps restores fp64-level residuals.  The
 engine enforces exactly that admission test (:func:`refinement_admissible`,
@@ -34,7 +30,6 @@ __all__ = [
     "PRECISIONS",
     "validate_precision",
     "working_dtype",
-    "elimination_dtype",
     "complex_working_dtype",
     "precision_eps",
     "dtype_name",
@@ -45,10 +40,10 @@ __all__ = [
 ]
 
 #: The plan-level precision axis.
-PRECISIONS = ("fp64", "fp32", "mixed")
+PRECISIONS = ("fp64", "fp32")
 
 #: Admission threshold for reduced-precision factorization + refinement:
-#: require ``cond₁(T) · ε_elimination ≤ ADMISSION_LIMIT`` so the
+#: require ``cond₁(T) · ε_working ≤ ADMISSION_LIMIT`` so the
 #: refinement contraction factor γ (eq. 41) stays far below one.
 ADMISSION_LIMIT = 0.05
 
@@ -62,34 +57,20 @@ def validate_precision(precision: str) -> str:
 
 
 def working_dtype(precision: str) -> np.dtype:
-    """Storage dtype of the factor arrays for a given precision.
-
-    ``"mixed"`` stores in double — only the per-pivot elimination is
-    rounded through single precision.
-    """
+    """Storage and arithmetic dtype of the factorization."""
     validate_precision(precision)
     return np.dtype(np.float32 if precision == "fp32" else np.float64)
 
 
-def elimination_dtype(precision: str) -> np.dtype:
-    """Dtype whose rounding governs the elimination error."""
-    validate_precision(precision)
-    return np.dtype(np.float64 if precision == "fp64" else np.float32)
-
-
 def complex_working_dtype(precision: str) -> np.dtype:
-    """Complex analogue of :func:`working_dtype` (for the GKO kernel).
-
-    The GKO Cauchy-like LU has no hyperbolic elimination to split, so
-    ``"mixed"`` and ``"fp32"`` both run it in ``complex64``.
-    """
+    """Complex analogue of :func:`working_dtype` (for the GKO kernel)."""
     validate_precision(precision)
     return np.dtype(np.complex128 if precision == "fp64" else np.complex64)
 
 
 def precision_eps(precision: str) -> float:
-    """Unit roundoff of the elimination dtype for ``precision``."""
-    return float(np.finfo(elimination_dtype(precision)).eps)
+    """Unit roundoff of the working dtype for ``precision``."""
+    return float(np.finfo(working_dtype(precision)).eps)
 
 
 def dtype_name(dtype) -> str:

@@ -33,12 +33,7 @@ import repro.obs as obs
 from repro.blas import primitives as blas
 from repro.core.generator import Generator, indefinite_generator
 from repro.core.packed import PackedUpper
-from repro.core.precision import (
-    elimination_dtype,
-    flush_tiny,
-    validate_precision,
-    working_dtype,
-)
+from repro.core.precision import flush_tiny, validate_precision, working_dtype
 from repro.core.schur_spd import ColumnStep
 from repro.errors import BreakdownError, SingularMinorError
 from repro.obs import health
@@ -103,7 +98,7 @@ class IndefiniteFactorization:
     #: at each block step — the growth quantity of the §8.2 analysis
     #: (≈ 2/√δ right after a perturbation).
     transform_norms: list[float] = field(default_factory=list)
-    #: Precision the factorization ran at (``"fp64"``/``"fp32"``/``"mixed"``).
+    #: Precision the factorization ran at (``"fp64"``/``"fp32"``).
     precision: str = "fp64"
 
     @property
@@ -168,8 +163,7 @@ def _eliminate_block_indefinite(upper: np.ndarray, lower: np.ndarray,
                                 perturb: bool, perturb_threshold: float,
                                 scale0: float,
                                 events_p: list[PerturbationEvent],
-                                events_i: list[InterchangeEvent],
-                                elim_dtype: np.dtype | None = None) -> float:
+                                events_i: list[InterchangeEvent]) -> float:
     """One block step of the extended algorithm (interchanges + δ).
 
     ``scale0`` is the hyperbolic-norm scale of the *original* matrix
@@ -180,8 +174,7 @@ def _eliminate_block_indefinite(upper: np.ndarray, lower: np.ndarray,
 
     The pivot decision logic (hyperbolic norms, perturbation and
     interchange tests) always runs in float64 regardless of the working
-    dtype; ``elim_dtype`` rounds the accepted pivot column before the
-    reflector is built (``"mixed"`` mode).
+    dtype.
     """
     m, q = upper.shape
     n2 = 2 * m
@@ -190,7 +183,7 @@ def _eliminate_block_indefinite(upper: np.ndarray, lower: np.ndarray,
     # Fortran-ordered working copies: the column step updates in place.
     fu = np.asfortranarray(upper)
     fl = np.asfortranarray(lower)
-    column = ColumnStep(w, upper.dtype, elim_dtype=elim_dtype)
+    column = ColumnStep(w, upper.dtype)
     for k in range(m):
         u = np.zeros(n2, dtype=upper.dtype)
         u[k] = fu[k, k]
@@ -242,7 +235,7 @@ def _eliminate_block_indefinite(upper: np.ndarray, lower: np.ndarray,
             fl[lr] = tmp
             w[k], w[l] = w[l], w[k]
             wf = w.astype(np.float64)
-            column = ColumnStep(w, upper.dtype, elim_dtype=elim_dtype)
+            column = ColumnStep(w, upper.dtype)
             events_i.append(InterchangeEvent(step=step, column=k,
                                              lower_row=l))
         x, beta = column(fu[:, k:], fl[:, k:], k)
@@ -290,7 +283,7 @@ def schur_indefinite_factor(t: SymmetricBlockToeplitz | Generator, *,
     singular_tol : float
         Tolerance for the signed Cholesky of the diagonal block.
     precision : str
-        Working precision (``"fp64"``/``"fp32"``/``"mixed"``, see
+        Working precision (``"fp64"``/``"fp32"``, see
         :mod:`repro.core.precision`).  ``δ`` defaults to the cube root
         of the working dtype's unit roundoff.
 
@@ -302,9 +295,8 @@ def schur_indefinite_factor(t: SymmetricBlockToeplitz | Generator, *,
     """
     validate_precision(precision)
     wd = working_dtype(precision)
-    elim = elimination_dtype(precision) if precision == "mixed" else None
     if delta is None:
-        delta = default_delta(elimination_dtype(precision))
+        delta = default_delta(wd)
     if perturb_threshold is None:
         perturb_threshold = delta
     with obs.span("schur.generator"):
@@ -343,7 +335,7 @@ def schur_indefinite_factor(t: SymmetricBlockToeplitz | Generator, *,
             step_norm = _eliminate_block_indefinite(
                 upper, lower, w, step=i, delta=delta, perturb=perturb,
                 perturb_threshold=perturb_threshold, scale0=scale0,
-                events_p=events_p, events_i=events_i, elim_dtype=elim)
+                events_p=events_p, events_i=events_i)
             transform_norms.append(step_norm)
             if obs.enabled():
                 health.record_growth_factor(i, step_norm)

@@ -42,12 +42,7 @@ from repro.core.block_reflector import (
 from repro.core.generator import Generator, spd_generator
 from repro.core.hyperbolic import pivot_scalars
 from repro.core.packed import PackedUpper
-from repro.core.precision import (
-    elimination_dtype,
-    flush_tiny,
-    validate_precision,
-    working_dtype,
-)
+from repro.core.precision import flush_tiny, validate_precision, working_dtype
 from repro.errors import (
     BreakdownError,
     InvalidOptionError,
@@ -89,12 +84,9 @@ class SchurOptions:
         Relative threshold below which a pivot's hyperbolic norm is
         treated as zero.
     precision : str
-        Working precision of the factorization: ``"fp64"`` (default),
-        ``"fp32"`` (single-precision generator, elimination and factor)
-        or ``"mixed"`` (float64 generator accumulation with each pivot
-        column rounded through float32 before the hyperbolic reflector
-        is built — the elimination decisions see fp32 data while the
-        level-3 updates keep fp64 accumulation).
+        Working precision of the factorization: ``"fp64"`` (default)
+        or ``"fp32"`` (single-precision generator, elimination and
+        factor).
     """
 
     representation: str = "vy2"
@@ -127,7 +119,7 @@ class SPDFactorization:
     options: SchurOptions
     #: Block reflectors produced at each step (kept only on request).
     reflectors: list[BlockReflector] = field(default_factory=list)
-    #: Precision the factorization ran at (``"fp64"``/``"fp32"``/``"mixed"``).
+    #: Precision the factorization ran at (``"fp64"``/``"fp32"``).
     precision: str = "fp64"
 
     @property
@@ -195,13 +187,11 @@ class ColumnStep:
     then ``?ger`` on the lower rows (``docs/algorithm.md`` §4 says why).
 
     A step fixes the signature ``w`` (build a new one after changing
-    it), the working dtype, ``breakdown_tol``, the ``"mixed"`` pivot
-    rounding ``elim_dtype``, and — from the state at construction —
-    whether flops and phase times are recorded.
+    it), the working dtype, ``breakdown_tol`` and — from the state at
+    construction — whether flops and phase times are recorded.
     """
 
-    def __init__(self, w: np.ndarray, dtype, *, breakdown_tol: float = 0.0,
-                 elim_dtype: np.dtype | None = None):
+    def __init__(self, w: np.ndarray, dtype, *, breakdown_tol: float = 0.0):
         m = w.shape[0] // 2
         dtype = np.dtype(dtype)
         signs = [int(v) for v in w]
@@ -209,8 +199,6 @@ class ColumnStep:
         self.w = w
         self.dtype = dtype
         self.breakdown_tol = breakdown_tol
-        self.round_to = (np.dtype(elim_dtype) if elim_dtype is not None
-                         and np.dtype(elim_dtype) != dtype else None)
         self.wu_identity = all(v == 1 for v in signs[:m])
         self.wl_negidentity = all(v == -1 for v in signs[m:])
         #: ``W`` in the working dtype.
@@ -249,8 +237,6 @@ class ColumnStep:
         u = self._u
         u[0] = upper[row, 0]
         u[1:] = lower[:, 0]
-        if self.round_to is not None:
-            u[:] = u.astype(self.round_to)
         with self.blocking:
             xk, beta = self._reflector(row)
         with self._panel:
@@ -315,7 +301,6 @@ def eliminate_block(upper: np.ndarray, lower: np.ndarray, w: np.ndarray, *,
                     panel: int | None = None,
                     breakdown_tol: float = 1e-14,
                     pivot_sign_fixup: bool = True,
-                    elim_dtype: np.dtype | None = None,
                     collect: list[BlockReflector] | None = None) -> None:
     """Annihilate ``lower[:, :m]`` against the pivot ``upper[:, :m]``.
 
@@ -323,9 +308,7 @@ def eliminate_block(upper: np.ndarray, lower: np.ndarray, w: np.ndarray, *,
     ``2m`` window signature.  The pivot block must be upper triangular with
     nonzero diagonal (guaranteed by the generator construction and
     preserved by this routine).  The elimination runs in the views'
-    dtype; ``elim_dtype`` (when narrower) additionally rounds each pivot
-    column through that dtype before the reflector is built — the
-    ``"mixed"`` precision mode.  Raises
+    dtype.  Raises
     :class:`~repro.errors.BreakdownError` when a pivot column has
     non-positive hyperbolic norm — for an SPD input this never happens.
     """
@@ -335,8 +318,7 @@ def eliminate_block(upper: np.ndarray, lower: np.ndarray, w: np.ndarray, *,
                          "views must have equal shape")
     if q < m:
         raise ShapeError(f"working width {q} smaller than block size {m}")
-    step = ColumnStep(w, upper.dtype, breakdown_tol=breakdown_tol,
-                      elim_dtype=elim_dtype)
+    step = ColumnStep(w, upper.dtype, breakdown_tol=breakdown_tol)
     _eliminate(step, upper, lower, representation, panel,
                pivot_sign_fixup, collect)
 
@@ -451,8 +433,8 @@ def _working_generator(t: SymmetricBlockToeplitz | Generator,
             g = t.copy()
         else:
             g = spd_generator(t, dtype=wd)
-        # A precomputed generator (or a "mixed" plan) may still be in the
-        # wrong storage dtype; round it once here, before elimination.
+        # A precomputed generator may still be in the wrong storage
+        # dtype; round it once here, before elimination.
         if g.gen.dtype != wd:
             g = g.astype(wd)
     return g
@@ -479,8 +461,6 @@ def _block_rows(g: Generator, opts: SchurOptions,
     """
     m, p = g.block_size, g.num_blocks
     n = m * p
-    elim = (elimination_dtype(opts.precision)
-            if opts.precision == "mixed" else None)
     top, bot = g.gen[:m], g.gen[m:]
     # The in-place variant flushes against the whole generator's scale,
     # the shift variant against each row's own.
@@ -490,8 +470,7 @@ def _block_rows(g: Generator, opts: SchurOptions,
         flush_tiny(top)
         flush_tiny(bot)
     yield 0, top
-    step = ColumnStep(g.w, g.gen.dtype, breakdown_tol=opts.breakdown_tol,
-                      elim_dtype=elim)
+    step = ColumnStep(g.w, g.gen.dtype, breakdown_tol=opts.breakdown_tol)
     for i in range(1, p):
         if opts.in_place:
             upper = top[:, :n - i * m]

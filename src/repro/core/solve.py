@@ -58,7 +58,7 @@ def cholesky(t, *, block_size: int | None = None,
     ``t`` may be a :class:`~repro.toeplitz.SymmetricBlockToeplitz`, a 1-D
     first row (scalar Toeplitz), or a dense symmetric block Toeplitz
     matrix together with ``block_size``.  ``precision`` ∈ {"fp64",
-    "fp32", "mixed"} selects the factorization working precision; a
+    "fp32"} selects the factorization working precision; a
     reduced-precision factor is only kept when the condition estimate
     admits fp64 refinement recovery (see :mod:`repro.core.precision`).
     """
@@ -96,7 +96,7 @@ def solve(t, b, *, block_size: int | None = None,
     against the same matrix reuse the factorization from the engine's
     default cache (plan with ``repro.engine.plan(..., cache="off")``
     to bypass it).  ``precision`` selects the factorization working
-    precision ("fp32"/"mixed" factor + fp64 refinement recovery); the
+    precision ("fp32" factor + fp64 refinement recovery); the
     returned ``x`` is always float64 at fp64 accuracy whenever the
     conditioning allows it.
     """
@@ -122,7 +122,7 @@ def solve_refined(t, b, *, block_size: int | None = None,
 
     Always safe for symmetric Toeplitz systems (including singular
     principal minors); returns the full refinement trace.  With
-    ``precision="fp32"``/``"mixed"`` the factorization runs reduced and
+    ``precision="fp32"`` the factorization runs reduced and
     the same refinement loop recovers fp64 (check
     ``result.converged_precision``).
     """

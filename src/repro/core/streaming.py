@@ -46,9 +46,9 @@ def iter_r_block_rows(t: SymmetricBlockToeplitz | Generator, *,
 
     The rows come from the factor's own loop (``_block_rows`` in
     :mod:`repro.core.schur_spd`), so every option of ``options``
-    applies — ``precision`` (working dtype, ``"mixed"``
-    pivot rounding, fp32 subnormal flush), ``in_place``, the
-    representation and panel — and each row's upper triangle equals
+    applies — ``precision`` (working dtype, fp32 subnormal flush),
+    ``in_place``, the representation and panel — and each row's upper
+    triangle equals
     :func:`~repro.core.schur_spd.schur_spd_factor`'s row bit for bit.
     The yielded array is a *live view* into the working generator —
     consume (or copy) it before advancing the iterator; below its

@@ -147,7 +147,7 @@ class ExecutionRecord:
     counted_flops: int | None = None
     #: ``perf_counter`` timestamp of the execution start (span clock).
     start: float = 0.0
-    #: Precision the plan requested (``"fp64"``/``"fp32"``/``"mixed"``).
+    #: Precision the plan requested (``"fp64"``/``"fp32"``).
     precision: str = "fp64"
     #: Storage dtype of the factor that actually drove the solves —
     #: ``"float64"`` even under a reduced-precision plan when the
@@ -364,7 +364,7 @@ def _recovering_solve(algo: Algorithm, op, b, pl: SolverPlan, fact,
                       **solve_kwargs):
     """The algorithm's solve, with fp64 recovery over a reduced factor.
 
-    An admitted fp32/mixed factor solves through blocked iterative
+    An admitted fp32 factor solves through blocked iterative
     refinement with fp64 residuals; if the loop stalls anyway
     (admission is an estimate, not a proof), the operator is refactored
     at fp64 outside the cache and the algorithm's own solve runs on it.

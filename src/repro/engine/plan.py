@@ -38,10 +38,6 @@ BACKENDS = ("simulated", "multiprocess")
 #: barrier-synchronized loop or the §6.5 lookahead overlap (also
 #: ``repro.parallel.SCHEDULES``).
 SCHEDULES = ("bulk", "lookahead")
-# Kept as a local literal (rather than importing repro.core.precision)
-# to avoid a plan-time import of the core package; must match
-# repro.core.precision.PRECISIONS.
-_PRECISION_VALUES = ("fp64", "fp32", "mixed")
 
 #: The cache axis: in-process LRU only, LRU backed by the on-disk
 #: persistent store, or no caching at all.
@@ -78,7 +74,9 @@ class SolverPlan:
     """Immutable description of one way to solve ``A x = b``.
 
     Produced by :func:`plan`; consumed by
-    :func:`repro.engine.execute` / :func:`repro.engine.factor`.
+    :func:`repro.engine.execute` / :func:`repro.engine.factor`.  Every
+    plan is checked where it is built, so one made by :func:`plan`,
+    :meth:`with_` or :meth:`from_dict` obeys the same rules.
     """
 
     algorithm: str
@@ -110,10 +108,9 @@ class SolverPlan:
     #: Section-7 pipelined schedule — Version 1 layout, NP ≥ 2 — that
     #: overlaps the serial generator build with application work).
     schedule: str = "bulk"
-    #: Working precision of the factorization: ``"fp64"``, ``"fp32"``
-    #: (single-precision factor + fp64 refinement recovery at solve
-    #: time) or ``"mixed"`` (fp32 hyperbolic elimination, fp64
-    #: generator accumulation).
+    #: Working precision of the factorization: ``"fp64"`` or
+    #: ``"fp32"`` (single-precision factor + fp64 refinement recovery
+    #: at solve time).
     precision: str = "fp64"
     predicted_seconds: float | None = None
     note: str = ""
@@ -121,6 +118,36 @@ class SolverPlan:
     #: serialized form — re-attach on :meth:`from_dict`).
     operator: object | None = field(default=None, compare=False,
                                     repr=False)
+
+    def __post_init__(self):
+        from repro.core.block_reflector import REPRESENTATIONS
+        from repro.core.precision import PRECISIONS
+
+        for name, legal in (("assume", _ASSUME_VALUES),
+                            ("backend", BACKENDS),
+                            ("precision", PRECISIONS),
+                            ("cache", _CACHE_VALUES),
+                            ("schedule", SCHEDULES),
+                            ("representation", REPRESENTATIONS)):
+            value = getattr(self, name)
+            if value not in legal:
+                raise InvalidOptionError(
+                    f"unknown {name}={value!r}; expected one of {legal}")
+        if self.nproc < 1:
+            raise ShapeError(f"nproc must be positive, got {self.nproc}")
+        if self.nproc > 1 and self.precision != "fp64":
+            raise InvalidOptionError(
+                "reduced-precision factorization is serial-only: the "
+                "distributed backends run fp64; drop precision or nproc")
+        if self.schedule == "lookahead":
+            if self.nproc < 2:
+                raise InvalidOptionError(
+                    "schedule='lookahead' needs nproc >= 2 (the pipelined "
+                    "schedule overlaps work across PEs)")
+            if self.distribution_b not in (None, 1):
+                raise InvalidOptionError(
+                    "schedule='lookahead' is implemented for the Version 1 "
+                    f"distribution (b=1); got b={self.distribution_b}")
 
     # ------------------------------------------------------------------
     def plan_key(self) -> tuple:
@@ -132,7 +159,7 @@ class SolverPlan:
         return (self.fingerprint,) + self.plan_key()
 
     def with_(self, **changes) -> "SolverPlan":
-        """A modified copy (plans are frozen)."""
+        """A modified copy (plans are frozen), checked like a new plan."""
         return dataclasses.replace(self, **changes)
 
     @property
@@ -346,7 +373,7 @@ def _make_plan(op, *, assume: str = "auto",
         overlaps the serial generator build with application work;
         it requires the Version 1 distribution (``b = 1``) and
         ``nproc ≥ 2``.
-    precision : {"fp64", "fp32", "mixed"}
+    precision : {"fp64", "fp32"}
         Working precision of the factorization.  Reduced-precision
         plans factor faster and route every solve through blocked
         iterative refinement with fp64 residuals to recover double
@@ -355,27 +382,6 @@ def _make_plan(op, *, assume: str = "auto",
         Serial only (``nproc > 1`` is fp64-only).
     """
     from repro.toeplitz.block_toeplitz import SymmetricBlockToeplitz
-
-    if assume not in _ASSUME_VALUES:
-        raise InvalidOptionError(
-            f"unknown assume={assume!r}; expected one of {_ASSUME_VALUES}")
-    if backend not in BACKENDS:
-        raise InvalidOptionError(
-            f"unknown backend={backend!r}; expected one of "
-            f"{BACKENDS}")
-    if precision not in _PRECISION_VALUES:
-        raise InvalidOptionError(
-            f"unknown precision={precision!r}; expected one of "
-            f"{_PRECISION_VALUES}")
-    if cache not in _CACHE_VALUES:
-        raise InvalidOptionError(
-            f"unknown cache={cache!r}; expected one of {_CACHE_VALUES}")
-    if schedule not in SCHEDULES:
-        raise InvalidOptionError(
-            f"unknown schedule={schedule!r}; expected one of "
-            f"{SCHEDULES}")
-    if nproc is not None and nproc < 1:
-        raise ShapeError(f"nproc must be positive, got {nproc}")
 
     target, note = _normalize_operator(op)
     symmetric = isinstance(target, SymmetricBlockToeplitz)
@@ -405,19 +411,6 @@ def _make_plan(op, *, assume: str = "auto",
         nproc = explicit_nproc
     if nproc > 1 and dist_b is None:
         dist_b = 1.0   # Version 1 unless the planner/user says otherwise
-    if nproc > 1 and precision != "fp64":
-        raise InvalidOptionError(
-            "reduced-precision factorization is serial-only: the "
-            "distributed backends run fp64; drop precision or nproc")
-    if schedule == "lookahead":
-        if nproc < 2:
-            raise InvalidOptionError(
-                "schedule='lookahead' needs nproc >= 2 (the pipelined "
-                "schedule overlaps work across PEs)")
-        if dist_b is not None and dist_b != 1:
-            raise InvalidOptionError(
-                "schedule='lookahead' is implemented for the Version 1 "
-                f"distribution (b=1); got b={dist_b}")
 
     # --- algorithm selection ------------------------------------------
     fallback: str | None = None
@@ -440,11 +433,6 @@ def _make_plan(op, *, assume: str = "auto",
     # --- representation / block size ----------------------------------
     rep = representation if representation is not None else \
         (tuned_rep or "vy2")
-    from repro.core.block_reflector import REPRESENTATIONS
-    if rep not in REPRESENTATIONS:
-        raise InvalidOptionError(
-            f"unknown representation {rep!r}; expected one of "
-            f"{REPRESENTATIONS}")
     ms = block_size if block_size is not None else (tuned_ms or m)
     if ms != m:
         if ms <= 0 or ms % m != 0 or n % ms != 0:

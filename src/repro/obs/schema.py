@@ -48,7 +48,7 @@ COMM_KINDS = ("shift", "broadcast", "barrier", "put", "recv", "gather")
 
 #: Whole-execution summary records (one per ``engine.execute``): wall
 #: time, RHS panel width, model vs counted flops, cache hit, plus the
-#: precision axis — requested ``precision`` ("fp64"/"fp32"/"mixed"),
+#: precision axis — requested ``precision`` ("fp64"/"fp32"),
 #: the ``factor_dtype`` that actually drove the solves, and
 #: ``refine_sweeps`` (None for a plain direct solve).  Not a
 #: compute kind — the execution's compute is broken out in its child

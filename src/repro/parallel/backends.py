@@ -42,11 +42,9 @@ import repro.obs as obs
 from repro.core.packed import PackedUpper
 from repro.errors import (
     DistributionError,
-    InvalidOptionError,
     MultiprocessUnavailableError,
     NotPositiveDefiniteError,
 )
-from repro.engine.plan import BACKENDS
 from repro.parallel.distributions import BlockCyclicLayout
 from repro.parallel.driver import (
     simulate_factorization,
@@ -247,17 +245,14 @@ def factor_distributed(op, pl) -> DistributedFactorization:
     """Run the distributed factorization the plan describes.
 
     ``op`` is the (possibly regrouped) symmetric block Toeplitz
-    operator; ``pl`` carries ``nproc``, ``distribution_b``,
-    ``representation`` and ``backend``.  Multiprocess requests degrade
-    to the simulated backend when the platform cannot run them; the
-    reason is recorded, never raised.
+    operator; ``pl`` is the :class:`~repro.engine.SolverPlan`, checked
+    when it was built, that carries ``nproc``, ``distribution_b``,
+    ``representation``, ``backend`` and ``schedule``.  Multiprocess
+    requests degrade to the simulated backend when the platform cannot
+    run them; the reason is recorded, never raised.
     """
-    if pl.backend not in BACKENDS:
-        raise InvalidOptionError(
-            f"unknown backend {pl.backend!r}; expected one of {BACKENDS}")
-    schedule = getattr(pl, "schedule", "bulk")
     with obs.span("factor.distributed", backend=pl.backend,
-                  nproc=pl.nproc, schedule=schedule) as sp:
+                  nproc=pl.nproc, schedule=pl.schedule) as sp:
         reason = ""
         if pl.backend == "multiprocess":
             ok, why = multiprocess_available()

@@ -83,7 +83,7 @@ def resolve_run(t, nproc: int | None = None, *, b: float = 1, plan=None,
     DistributionError
         Without ``nproc``, for an unknown schedule or layout, for
         lookahead off the Version 1 layout or on one PE, and for Version
-        3 unless the signature is SPD and ``spread`` divides ``m``.
+        3 unless ``spread`` divides ``m``.
     ShapeError
         For fewer than 2 block columns.
     NotPositiveDefiniteError
@@ -127,11 +127,7 @@ def resolve_run(t, nproc: int | None = None, *, b: float = 1, plan=None,
         raise DistributionError(f"unknown layout {layout!r}")
     if t.num_blocks < 2:
         raise ShapeError("need at least 2 block columns to factor")
-    g = spd_generator(t)
-    if isinstance(layout, SpreadLayout) and not np.all(g.w[:m] == 1):
-        raise DistributionError(
-            "the spread (Version 3) program supports the SPD signature only")
-    return layout, g, program, representation, schedule
+    return layout, spd_generator(t), program, representation, schedule
 
 
 def build_transform(upper: np.ndarray, lower: np.ndarray, w: np.ndarray,

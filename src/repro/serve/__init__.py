@@ -28,7 +28,7 @@ from repro.serve.dispatcher import (
     ServeStats,
 )
 from repro.serve.server import SolverService, TCPServerHandle, start_tcp_server
-from repro.serve.client import InProcessClient, RemoteServeError, TCPClient
+from repro.serve.client import RemoteServeError, TCPClient
 
 __all__ = [
     "BatchDispatcher",
@@ -38,7 +38,6 @@ __all__ = [
     "SolverService",
     "TCPServerHandle",
     "start_tcp_server",
-    "InProcessClient",
     "RemoteServeError",
     "TCPClient",
 ]

@@ -1,11 +1,10 @@
-"""Clients for the solver service: in-process and TCP.
+"""TCP client for the solver service.
 
-Both speak the same surface — ``solve(op, b)`` returning a
-:class:`~repro.serve.ServeResponse` — so callers can develop against
-:class:`InProcessClient` and switch to :class:`TCPClient` without
-touching solve sites.  The TCP client maps wire-level error names back
-onto the package's exception types, so ``except ServiceOverloadError``
-works identically on either side of the socket.
+:meth:`TCPClient.solve` returns a :class:`~repro.serve.ServeResponse`,
+as :meth:`~repro.serve.SolverService.solve` does in process, and the
+client maps wire-level error names back onto the package's exception
+types, so ``except ServiceOverloadError`` works identically on either
+side of the socket.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from repro.errors import (
 )
 from repro.serve.dispatcher import ServeRecord, ServeResponse, ServeStats
 
-__all__ = ["InProcessClient", "RemoteServeError", "TCPClient"]
+__all__ = ["RemoteServeError", "TCPClient"]
 
 
 class RemoteServeError(ReproError, RuntimeError):
@@ -39,31 +38,6 @@ _ERROR_TYPES = {
     for cls in (ServiceOverloadError, DeadlineExceededError,
                 ServiceClosedError, InvalidOptionError, ShapeError)
 }
-
-
-class InProcessClient:
-    """Call a :class:`~repro.serve.SolverService` in the same process.
-
-    A thin veneer — it exists so code written against the client
-    surface runs unchanged whether the service is local or remote.
-    """
-
-    def __init__(self, service):
-        self._service = service
-
-    def ops(self) -> list[str]:
-        return list(self._service.operators())
-
-    def solve(self, op: str, b, *,
-              timeout_s: float | None = None) -> ServeResponse:
-        return self._service.solve(op, b, timeout_s=timeout_s)
-
-    def submit(self, op: str, b, *, timeout_s: float | None = None):
-        """Future-returning variant (in-process only)."""
-        return self._service.submit(op, b, timeout_s=timeout_s)
-
-    def stats(self) -> ServeStats:
-        return self._service.stats()
 
 
 class TCPClient:

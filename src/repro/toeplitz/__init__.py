@@ -16,7 +16,6 @@ from repro.toeplitz.toeplitz_block import (
     SymmetricToeplitzBlock,
     shuffle_permutation,
 )
-from repro.toeplitz.io import save_matrix, load_matrix
 from repro.toeplitz.convolution import ConvolutionOperator, toeplitz_lstsq
 from repro.toeplitz.workloads import (
     kms_toeplitz,
@@ -39,8 +38,6 @@ __all__ = [
     "BlockCirculantEmbedding",
     "SymmetricToeplitzBlock",
     "shuffle_permutation",
-    "save_matrix",
-    "load_matrix",
     "ConvolutionOperator",
     "toeplitz_lstsq",
     "block_toeplitz_matvec",

@@ -210,6 +210,42 @@ class TestPlanObject:
         with pytest.raises(InvalidOptionError, match="transport"):
             SolverPlan.from_dict(d)
 
+    @pytest.mark.parametrize("changes", [
+        {"cache": "bogus"},
+        {"schedule": "lookahead"},
+        {"backend": "bogus"},
+        {"precision": "fp32", "nproc": 2},
+        {"precision": "mixed"},
+    ], ids=["cache", "serial-lookahead", "backend", "distributed-fp32",
+            "mixed"])
+    def test_with_checks_like_plan(self, changes):
+        """A changed plan obeys the rules ``plan()`` enforces."""
+        t = kms_toeplitz(16, 0.5)
+        kwargs = {"assume": "spd", "cache": "off"}
+        with pytest.raises(InvalidOptionError):
+            engine.plan(t, **{**kwargs, **changes})
+        pl = engine.plan(t, **kwargs)
+        with pytest.raises(InvalidOptionError):
+            pl.with_(**changes)
+
+    def test_with_checks_distributed_rules(self):
+        t = kms_toeplitz(16, 0.5)
+        with pytest.raises(ShapeError):
+            engine.plan(t).with_(nproc=0)
+        lookahead = engine.plan(t, nproc=2, schedule="lookahead")
+        with pytest.raises(InvalidOptionError):
+            lookahead.with_(distribution_b=2)
+        with pytest.raises(InvalidOptionError):
+            lookahead.with_(nproc=1)
+
+    @pytest.mark.parametrize("precision", ["bogus", "mixed"])
+    def test_from_dict_checks_like_plan(self, precision):
+        """A saved plan with an unknown precision (``"mixed"`` was
+        removed) raises when it is loaded, not when it runs."""
+        d = dict(self.OLD_PLAN_DICT, precision=precision)
+        with pytest.raises(InvalidOptionError):
+            SolverPlan.from_dict(d)
+
     def test_plans_are_immutable(self):
         pl = engine.plan(kms_toeplitz(8, 0.5))
         with pytest.raises(AttributeError):

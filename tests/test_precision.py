@@ -1,6 +1,6 @@
 """The precision axis: reduced factorization + fp64 refinement recovery.
 
-Covers the end-to-end contract of ``precision`` ∈ {fp64, fp32, mixed}:
+Covers the end-to-end contract of ``precision`` ∈ {fp64, fp32}:
 dtype round-trips through every registered algorithm, per-precision
 cache keys with zero cross-precision hits, the condest admission
 fallback, dtype-aware fingerprints and refinement tolerances, and the
@@ -15,7 +15,6 @@ import pytest
 import repro.engine as engine
 from repro.core.precision import (
     PRECISIONS,
-    elimination_dtype,
     precision_eps,
     refinement_admissible,
     validate_precision,
@@ -30,7 +29,7 @@ from repro.toeplitz import (
 )
 from repro.utils.fingerprint import content_fingerprint
 
-REDUCED = ("fp32", "mixed")
+REDUCED = ("fp32",)
 
 
 @pytest.fixture(autouse=True)
@@ -79,14 +78,9 @@ class TestPrecisionHelpers:
     def test_dtypes(self):
         assert working_dtype("fp64") == np.float64
         assert working_dtype("fp32") == np.float32
-        assert working_dtype("mixed") == np.float64
-        assert elimination_dtype("fp64") == np.float64
-        assert elimination_dtype("fp32") == np.float32
-        assert elimination_dtype("mixed") == np.float32
 
     def test_eps_ordering(self):
         assert precision_eps("fp64") < precision_eps("fp32")
-        assert precision_eps("mixed") == precision_eps("fp32")
 
     def test_admission(self):
         # fp64 is always admissible; reduced precision is gated on
@@ -94,7 +88,7 @@ class TestPrecisionHelpers:
         assert refinement_admissible(1e15, "fp64")
         assert refinement_admissible(1e3, "fp32")
         assert not refinement_admissible(1e7, "fp32")
-        assert not refinement_admissible(float("inf"), "mixed")
+        assert not refinement_admissible(float("inf"), "fp32")
 
 
 # ----------------------------------------------------------------------
@@ -153,24 +147,6 @@ class TestAlgorithmRoundTrips:
         assert fact.precision == precision
         assert np.dtype(fact.dtype) == working_dtype(precision)
 
-    def test_mixed_tracks_fp32_error_level(self):
-        """Mixed rounds only the pivot columns: its raw factor error
-        sits between fp64 and fp32."""
-        t = ar_block_toeplitz(16, 2, seed=9)
-        d = t.dense()
-
-        def raw_err(precision):
-            pl = engine.plan(t, assume="spd", precision=precision,
-                             cache="off")
-            f = engine.factor(pl).factorization
-            r = np.asarray(f.r, dtype=np.float64)
-            return float(np.max(np.abs(r.T @ r - d)))
-
-        e64, emix, e32 = (raw_err(p) for p in PRECISIONS[:1] +
-                          ("mixed", "fp32"))
-        assert e64 < emix < 1e-2
-        assert emix < 10 * e32
-
 
 # ----------------------------------------------------------------------
 # Cache isolation
@@ -184,24 +160,24 @@ class TestCacheIsolation:
 
     def test_zero_cross_precision_hits(self):
         """Factoring the same operator at each precision never reuses
-        another precision's factor: three misses, then three hits."""
+        another precision's factor: one miss each, then one hit each."""
         t = ar_block_toeplitz(6, 2, seed=1)
         cache = FactorizationCache()
         for p in PRECISIONS:
             engine.factor(engine.plan(t, assume="spd", precision=p),
                           cache=cache)
         stats = cache.stats()
-        assert (stats.hits, stats.misses) == (0, 3)
+        assert (stats.hits, stats.misses) == (0, len(PRECISIONS))
         facts = {}
         for p in PRECISIONS:
             fr = engine.factor(engine.plan(t, assume="spd", precision=p),
                                cache=cache)
             assert fr.cache_hit
             facts[p] = fr.factorization
-        assert cache.stats().hits == 3
+        assert cache.stats().hits == len(PRECISIONS)
         # and each precision got its own factor object back
         assert facts["fp32"].dtype != facts["fp64"].dtype
-        assert facts["mixed"].precision == "mixed"
+        assert [facts[p].precision for p in PRECISIONS] == list(PRECISIONS)
 
     def test_fingerprint_sees_dtype(self):
         """Same values, different source dtype ⇒ different fingerprint
@@ -354,9 +330,9 @@ class TestRecordsAndPlans:
 
     def test_plan_round_trips_serialization(self):
         t = ar_block_toeplitz(6, 2, seed=1)
-        pl = engine.plan(t, assume="spd", precision="mixed")
+        pl = engine.plan(t, assume="spd", precision="fp32")
         back = engine.SolverPlan.from_dict(pl.to_dict(), operator=t)
-        assert back.precision == "mixed"
+        assert back.precision == "fp32"
         assert back.cache_key() == pl.cache_key()
 
 
@@ -383,7 +359,16 @@ class TestCli:
         col[0] = 3.0
         mat = tmp_path / "t.npy"
         np.save(mat, col)
-        rc = main(["factor", str(mat), "--precision", "mixed"])
+        rc = main(["factor", str(mat), "--precision", "fp32"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "requested mixed" in out
+        assert "requested fp32" in out
+
+    def test_mixed_precision_flag_is_a_usage_error(self, tmp_path, capsys):
+        from repro.cli import main
+        mat = tmp_path / "t.npy"
+        np.save(mat, 0.5 ** np.arange(8))
+        with pytest.raises(SystemExit) as exc:
+            main(["factor", str(mat), "--precision", "mixed"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'mixed'" in capsys.readouterr().err

@@ -250,14 +250,12 @@ class TestAccuracyGate:
         ("panel=2", 1e-15),
         ("m_s=16", 2e-15),
         ("fp32", 3e-7),
-        ("mixed", 6e-9),
     ])
     def test_probe_backward_error(self, num_blocks, config, bound):
         options = {"default": SchurOptions(),
                    "panel=2": SchurOptions(panel=2),
                    "m_s=16": SchurOptions(),
-                   "fp32": SchurOptions(precision="fp32"),
-                   "mixed": SchurOptions(precision="mixed")}[config]
+                   "fp32": SchurOptions(precision="fp32")}[config]
         for t in _serve_hot_operators(num_blocks):
             source = t.regroup(16) if config == "m_s=16" else t
             fact = schur_spd_factor(source, options=options)

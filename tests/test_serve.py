@@ -20,7 +20,6 @@ from repro.errors import (
 )
 from repro.serve import (
     BatchDispatcher,
-    InProcessClient,
     ServeRecord,
     ServeResponse,
     SolverService,
@@ -296,16 +295,6 @@ class TestSolverService:
             resp = asyncio.run(svc.asolve("toe", rhs))
         np.testing.assert_allclose(resp.x, _reference(op, rhs),
                                    atol=1e-10)
-
-    def test_in_process_client(self, op, rhs):
-        with SolverService(max_wait_ms=0.0) as svc:
-            svc.register("toe", op)
-            client = InProcessClient(svc)
-            assert client.ops() == ["toe"]
-            resp = client.solve("toe", rhs)
-            np.testing.assert_allclose(resp.x, _reference(op, rhs),
-                                       atol=1e-10)
-            assert client.stats().completed == 1
 
     def test_registration_plan_kwargs_flow_through(self, op):
         with SolverService() as svc:
