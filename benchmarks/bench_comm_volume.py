@@ -8,8 +8,8 @@ accounting.
 """
 
 from repro.bench import format_table, write_result
+from repro.core.flops import transform_words
 from repro.parallel import simulate_factorization
-from repro.parallel.costs import transform_words
 from repro.toeplitz import kms_toeplitz
 
 

@@ -38,9 +38,10 @@ __all__ = [
     "array_hash",
 ]
 
-#: Bump when the (kind, arrays, meta) schema below changes shape; the
-#: store treats entries written under another version as stale misses.
-COMPACT_SCHEMA_VERSION = 2
+#: Bump when the (kind, arrays, meta) schema below changes shape — the
+#: ``SchurOptions`` fields stored in ``meta`` included; the store treats
+#: entries written under another version as stale misses.
+COMPACT_SCHEMA_VERSION = 3
 
 KIND_GS = "gs"
 KIND_GKO = "gko-generators"

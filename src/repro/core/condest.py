@@ -23,26 +23,24 @@ def one_norm(t) -> float:
 
     Column ``j`` of a block Toeplitz matrix touches blocks ``B_{j−i}``;
     the column sums are assembled in ``O(m n)`` from the defining block
-    row/column without densifying.  Works for symmetric
-    (``top_blocks``) and general (``first_block_row``/``…_col``)
-    operators alike.
+    row/column without densifying, by prefix sums over the lags.  Works
+    for symmetric (``top_blocks``) and general (``first_block_row``/
+    ``…_col``) operators alike.
     """
-    m, p = t.block_size, t.num_blocks
     if hasattr(t, "top_blocks"):
         # abs-column-sums of each defining block and of its transpose
-        upper = [np.abs(b).sum(axis=0) for b in t.top_blocks]   # T̂_{d+1}
-        lower = [np.abs(b.T).sum(axis=0) for b in t.top_blocks]  # T̂ᵀ
+        blocks = np.abs(t.top_blocks)
+        upper = blocks.sum(axis=1)                # T̂_d
+        lower = blocks.sum(axis=2)                # T̂_dᵀ
     else:
-        upper = [np.abs(b).sum(axis=0) for b in t.first_block_row]
-        lower = [np.abs(b).sum(axis=0) for b in t.first_block_col]
-    best = 0.0
-    for j in range(p):
-        s = np.zeros(m)
-        for i in range(p):
-            d = j - i
-            s += upper[d] if d >= 0 else lower[-d]
-        best = max(best, float(np.max(s)))
-    return best
+        upper = np.abs(t.first_block_row).sum(axis=1)
+        lower = np.abs(t.first_block_col).sum(axis=1)
+    # Block column j meets the upper-side lags j, …, 0 and the
+    # lower-side lags 1, …, p−1−j: two prefix sums give every column.
+    above = np.cumsum(upper, axis=0)
+    below = np.zeros_like(lower)
+    np.cumsum(lower[1:], axis=0, out=below[1:])
+    return float(np.max(above + below[::-1]))
 
 
 def invnorm_estimate(solve, n: int, *, max_iter: int = 8,

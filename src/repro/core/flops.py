@@ -10,7 +10,10 @@ Two families of formulas:
 plus the Section 6.5 total-cost rule of thumb ``≈ 4 m_s n²`` governing the
 structural-vs-algorithmic block size trade-off, and a primitive-level
 decomposition of one elimination step used by the machine performance
-models (Figure 10 and the T3D experiments).
+models (Figure 10 and the T3D experiments): its build, its application
+and the words its transformation takes on the wire, which the serial
+models and the distributed programs of :mod:`repro.parallel` charge
+alike.
 
 The polynomial coefficients below are transcribed from the paper; the
 benchmark ``bench_flop_models`` checks them against instrumented counts
@@ -33,6 +36,9 @@ __all__ = [
     "PRECISION_FLOP_WEIGHT",
     "precision_weight",
     "PrimitiveCall",
+    "blocking_calls",
+    "application_calls",
+    "transform_words",
     "primitive_calls_for_step",
     "primitive_calls_for_factorization",
 ]
@@ -200,68 +206,133 @@ class PrimitiveCall:
         raise ShapeError(f"unknown primitive {self.name!r}")
 
 
+def blocking_calls(m: int, *, representation: str = "vy2",
+                   cols: int | None = None,
+                   start_index: int = 0) -> list[PrimitiveCall]:
+    """Primitive mix of Phase 1: building the transformation of ``cols``
+    pivot columns (:func:`repro.core.schur_spd.build_transform`).
+
+    Per column a dot over the ``(m+1)``-entry reflector support, the
+    panel's gemv/axpy/ger on the remaining panel columns, and — from the
+    second reflector on — the representation's accumulation recurrence,
+    whose size grows with the number ``idx`` of reflectors already
+    accumulated.  ``start_index`` is that number at the first column
+    (the Version 3 programs charge chunk ``c`` from ``c · cols``).
+    """
+    if cols is None:
+        cols = m
+    if not (1 <= cols <= m) or not (0 <= start_index <= m - cols):
+        raise ShapeError(
+            f"invalid cols={cols}, start_index={start_index} for m={m}")
+    n2 = 2 * m
+    calls: list[PrimitiveCall] = []
+    for local in range(cols):
+        idx = start_index + local
+        pw = cols - local
+        calls.append(PrimitiveCall("dot", (m + 1,)))
+        calls.append(PrimitiveCall("gemv", (m, pw)))   # xᵀ·lower
+        calls.append(PrimitiveCall("axpy", (pw,)))     # pivot row
+        calls.append(PrimitiveCall("ger", (m, pw)))    # lower update
+        if idx > 0:
+            if representation == "vy1":
+                calls.append(PrimitiveCall("gemv", (n2, idx)))
+                calls.append(PrimitiveCall("gemv", (n2, idx)))
+                calls.append(PrimitiveCall("scal", (n2 * idx,)))
+            elif representation == "vy2":
+                calls.append(PrimitiveCall("gemv", (n2, idx)))
+                calls.append(PrimitiveCall("ger", (n2, idx)))
+                calls.append(PrimitiveCall("scal", (n2 * idx,)))
+            elif representation == "yty":
+                calls.append(PrimitiveCall("gemv", (n2, idx)))
+                calls.append(PrimitiveCall("gemv", (idx, idx)))
+                calls.append(PrimitiveCall("scal", (n2 * idx,)))
+            elif representation in ("dense", "u"):
+                calls.append(PrimitiveCall("gemv", (n2, n2)))
+                calls.append(PrimitiveCall("ger", (n2, n2)))
+            elif representation != "unblocked":
+                raise ShapeError(
+                    f"unknown representation {representation!r}")
+    return calls
+
+
+def application_calls(m: int, width: int, *,
+                      representation: str = "vy2",
+                      k: int | None = None) -> list[PrimitiveCall]:
+    """Primitive mix of Phase 2: applying a ``k``-reflector block
+    transformation to ``width`` scalar columns of the ``2m``-row
+    generator (:func:`repro.core.schur_spd.apply_transform`)."""
+    if width <= 0:
+        return []
+    kk = m if k is None else k
+    if not (1 <= kk <= m):
+        raise ShapeError(f"k={kk} must be in [1, {m}]")
+    n2 = 2 * m
+    if representation in ("vy1", "vy2"):
+        return [PrimitiveCall("gemm", (kk, width, n2)),    # YᵀA
+                PrimitiveCall("gemm", (n2, width, kk))]    # V·
+    if representation == "yty":
+        return [PrimitiveCall("gemm", (kk, width, n2)),    # YᵀWA
+                PrimitiveCall("gemm", (kk, width, kk)),    # T·
+                PrimitiveCall("gemm", (n2, width, kk))]    # Y·
+    if representation in ("dense", "u"):
+        return [PrimitiveCall("gemm", (n2, width, n2))]
+    if representation == "unblocked":
+        calls = []
+        for _ in range(kk):
+            calls.append(PrimitiveCall("gemv", (m, width)))
+            calls.append(PrimitiveCall("ger", (m, width)))
+            calls.append(PrimitiveCall("axpy", (width,)))
+        return calls
+    raise ShapeError(f"unknown representation {representation!r}")
+
+
+def transform_words(representation: str, m: int,
+                    k: int | None = None) -> int:
+    """8-byte words needed to communicate the block transformation.
+
+    Exploits the Figure 3/4 sparsity: reflector columns carry one pivot
+    entry plus the ``m`` lower entries; the ``z``/``T`` factors are
+    triangular.  The ``YTYᵀ`` form is roughly half the VY volume — the
+    property Section 6.3 cites for distributed machines.
+    """
+    kk = m if k is None else k
+    if not (1 <= kk <= m):
+        raise ShapeError(f"k={kk} must be in [1, {m}]")
+    x_words = kk * (m + 1)                 # reflector columns
+    tri = kk * (kk + 1) // 2
+    if representation in ("vy1", "vy2"):
+        # one factor with x-sparsity, one with growing upper support
+        return x_words + (tri + kk * m)
+    if representation == "yty":
+        return x_words + tri
+    if representation in ("dense", "u"):
+        return (2 * m) * (2 * m)
+    if representation == "unblocked":
+        return x_words
+    raise ShapeError(f"unknown representation {representation!r}")
+
+
 def primitive_calls_for_step(m: int, width: int, *,
                              representation: str = "vy2",
                              k: int | None = None) -> list[PrimitiveCall]:
     """Primitive mix of one elimination step on a ``2m × width`` pair.
 
-    ``width`` is in scalar columns (``p_active · m``).  The decomposition
-    follows the implementation in :mod:`repro.core.schur_spd`: per
-    reflector a dot + panel gemv/ger, per accumulation step the lemma's
-    recurrences, per panel one pair of gemms against the trailing columns.
-    The machine models price each call by shape, which is exactly how the
-    shape-sensitivity of Figure 10 enters.
+    ``width`` is in scalar columns (``p_active · m``).  The step is the
+    serial loop's: per panel of ``k`` columns, its build
+    (:func:`blocking_calls`) and its application to the columns after
+    the panel (:func:`application_calls`).  The machine models price
+    each call by shape, which is exactly how the shape-sensitivity of
+    Figure 10 enters.
     """
     kk = _check_mk(m, k)
-    n2 = 2 * m
     calls: list[PrimitiveCall] = []
-    panels = ceil(m / kk)
-    for jpanel in range(panels):
-        pstart = jpanel * kk
+    for pstart in range(0, m, kk):
         pend = min(pstart + kk, m)
-        kj = pend - pstart
-        for idx, col in enumerate(range(pstart, pend)):
-            # reflector setup: hyperbolic norm over the (m+1)-support
-            calls.append(PrimitiveCall("dot", (m + 1,)))
-            # panel sequential update on the remaining panel columns
-            pw = pend - col
-            calls.append(PrimitiveCall("gemv", (m, pw)))   # xᵀ·lower
-            calls.append(PrimitiveCall("axpy", (pw,)))     # pivot row
-            calls.append(PrimitiveCall("ger", (m, pw)))    # lower update
-            # accumulation recurrence (size grows with idx)
-            if idx > 0:
-                if representation == "vy1":
-                    calls.append(PrimitiveCall("gemv", (n2, idx)))
-                    calls.append(PrimitiveCall("gemv", (n2, idx)))
-                    calls.append(PrimitiveCall("scal", (n2 * idx,)))
-                elif representation == "vy2":
-                    calls.append(PrimitiveCall("gemv", (n2, idx)))
-                    calls.append(PrimitiveCall("ger", (n2, idx)))
-                    calls.append(PrimitiveCall("scal", (n2 * idx,)))
-                elif representation == "yty":
-                    calls.append(PrimitiveCall("gemv", (n2, idx)))
-                    calls.append(PrimitiveCall("gemv", (idx, idx)))
-                    calls.append(PrimitiveCall("scal", (n2 * idx,)))
-                elif representation in ("dense", "u"):
-                    calls.append(PrimitiveCall("gemv", (n2, n2)))
-                    calls.append(PrimitiveCall("ger", (n2, n2)))
-        trailing = width - pend
-        if trailing <= 0:
-            continue
-        if representation in ("vy1", "vy2"):
-            calls.append(PrimitiveCall("gemm", (kj, trailing, n2)))  # YᵀA
-            calls.append(PrimitiveCall("gemm", (n2, trailing, kj)))  # V·
-        elif representation == "yty":
-            calls.append(PrimitiveCall("gemm", (kj, trailing, n2)))  # YᵀWA
-            calls.append(PrimitiveCall("gemm", (kj, trailing, kj)))  # T·
-            calls.append(PrimitiveCall("gemm", (n2, trailing, kj)))  # Y·
-        elif representation in ("dense", "u"):
-            calls.append(PrimitiveCall("gemm", (n2, trailing, n2)))
-        elif representation == "unblocked":
-            for _ in range(kj):
-                calls.append(PrimitiveCall("gemv", (m, trailing)))
-                calls.append(PrimitiveCall("ger", (m, trailing)))
-                calls.append(PrimitiveCall("axpy", (trailing,)))
+        calls += blocking_calls(m, representation=representation,
+                                cols=pend - pstart)
+        calls += application_calls(m, width - pend,
+                                   representation=representation,
+                                   k=pend - pstart)
     return calls
 
 

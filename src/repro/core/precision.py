@@ -32,7 +32,6 @@ __all__ = [
     "working_dtype",
     "complex_working_dtype",
     "precision_eps",
-    "dtype_name",
     "precision_of_dtype",
     "refinement_admissible",
     "flush_tiny",
@@ -71,11 +70,6 @@ def complex_working_dtype(precision: str) -> np.dtype:
 def precision_eps(precision: str) -> float:
     """Unit roundoff of the working dtype for ``precision``."""
     return float(np.finfo(working_dtype(precision)).eps)
-
-
-def dtype_name(dtype) -> str:
-    """Canonical string name of a (possibly complex) working dtype."""
-    return np.dtype(dtype).name
 
 
 def precision_of_dtype(dtype) -> str:

@@ -17,7 +17,11 @@ Implements the three-phase loop of Sections 5–6:
    implementation must do) is kept behind ``in_place=False`` and tested
    equal.
 
-The loop is written once, as a generator of the block rows of ``R``:
+Phases 1 and 2 of one panel are written once, as
+:func:`build_transform` and :func:`apply_transform`: the serial loop
+calls them per panel, and the distributed programs of
+:mod:`repro.parallel` per pivot block or Version 3 chunk.  The loop is
+written once, as a generator of the block rows of ``R``:
 :func:`schur_spd_factor` stores each row in packed form and
 :func:`repro.core.streaming.iter_r_block_rows` streams the same rows
 without storing them.  The factorization satisfies ``T = Rᵀ R`` with
@@ -27,7 +31,7 @@ without storing them.  The factorization satisfies ``T = Rᵀ R`` with
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -58,6 +62,8 @@ __all__ = [
     "SPDFactorization",
     "schur_spd_factor",
     "eliminate_block",
+    "build_transform",
+    "apply_transform",
     "ColumnStep",
 ]
 
@@ -77,9 +83,6 @@ class SchurOptions:
     in_place : bool
         Use the shift-free in-place update of Section 6.4 (default) or
         the explicit Phase-3 shift.
-    normalize_diagonal : bool
-        Flip generator rows after each elimination so the pivot (and thus
-        the Cholesky) diagonal stays positive.
     breakdown_tol : float
         Relative threshold below which a pivot's hyperbolic norm is
         treated as zero.
@@ -92,7 +95,6 @@ class SchurOptions:
     representation: str = "vy2"
     panel: int | None = None
     in_place: bool = True
-    normalize_diagonal: bool = True
     breakdown_tol: float = 1e-14
     precision: str = "fp64"
 
@@ -117,8 +119,6 @@ class SPDFactorization:
     block_size: int
     num_blocks: int
     options: SchurOptions
-    #: Block reflectors produced at each step (kept only on request).
-    reflectors: list[BlockReflector] = field(default_factory=list)
     #: Precision the factorization ran at (``"fp64"``/``"fp32"``).
     precision: str = "fp64"
 
@@ -216,8 +216,10 @@ class ColumnStep:
         self._narrow = dtype != np.float64
         self._ger = blas.GER_KERNELS[dtype]
         self.counting = blas.active_counter() is not None
-        #: Reusable category scope; callers charge their appends to it.
+        #: Reusable category scopes; callers charge their appends to
+        #: ``blocking`` and their block applications to ``application``.
         self.blocking = blas.category("blocking")
+        self.application = blas.category("application")
         self._panel = blas.category("panel")
         self._accumulators: dict = {}
 
@@ -299,18 +301,23 @@ class ColumnStep:
 def eliminate_block(upper: np.ndarray, lower: np.ndarray, w: np.ndarray, *,
                     representation: str = "vy2",
                     panel: int | None = None,
-                    breakdown_tol: float = 1e-14,
-                    pivot_sign_fixup: bool = True,
-                    collect: list[BlockReflector] | None = None) -> None:
+                    breakdown_tol: float = 1e-14) -> None:
     """Annihilate ``lower[:, :m]`` against the pivot ``upper[:, :m]``.
 
     ``upper``/``lower`` are ``m × q`` views updated in place; ``w`` is the
     ``2m`` window signature.  The pivot block must be upper triangular with
     nonzero diagonal (guaranteed by the generator construction and
     preserved by this routine).  The elimination runs in the views'
-    dtype.  Raises
-    :class:`~repro.errors.BreakdownError` when a pivot column has
-    non-positive hyperbolic norm — for an SPD input this never happens.
+    dtype.
+
+    Raises
+    ------
+    NotPositiveDefiniteError
+        When the upper half of ``w`` is not ``+I``: the leading block of
+        the matrix is then not positive definite.
+    BreakdownError
+        When a pivot column has non-positive hyperbolic norm — for an
+        SPD input this never happens.
     """
     m, q = upper.shape
     if lower.shape != (m, q):
@@ -318,65 +325,109 @@ def eliminate_block(upper: np.ndarray, lower: np.ndarray, w: np.ndarray, *,
                          "views must have equal shape")
     if q < m:
         raise ShapeError(f"working width {q} smaller than block size {m}")
-    step = ColumnStep(w, upper.dtype, breakdown_tol=breakdown_tol)
-    _eliminate(step, upper, lower, representation, panel,
-               pivot_sign_fixup, collect)
+    step = _spd_step(w, upper.dtype, breakdown_tol)
+    _eliminate(step, upper, lower, representation, panel)
+
+
+def _spd_step(w: np.ndarray, dtype, breakdown_tol: float) -> ColumnStep:
+    """The column step of an SPD elimination with window signature
+    ``w``, whose upper half must be ``+I``."""
+    step = ColumnStep(w, dtype, breakdown_tol=breakdown_tol)
+    if not step.wu_identity:
+        raise NotPositiveDefiniteError(
+            "matrix is not positive definite: the generator's upper "
+            "signature is not +I, so its leading block is not")
+    return step
+
+
+def build_transform(step: ColumnStep, upper: np.ndarray, lower: np.ndarray,
+                    representation: str, row_offset: int = 0
+                    ) -> tuple[BlockReflector, slice | np.ndarray]:
+    """Phase 1 of one panel: build its transformation ``(U, negrows)``.
+
+    ``upper``/``lower`` are ``m × k`` views of the panel's ``k`` pivot
+    columns (a serial panel, a whole pivot block, or one Version 3
+    chunk), whose pivot entries sit at rows ``row_offset + j``.  The
+    ``k`` column steps of ``step`` (an SPD step: upper signature ``+I``)
+    eliminate them in place and are accumulated into ``representation``.
+    ``negrows`` indexes the pivot rows whose diagonal came out negative —
+    a slice when all did, the usual case under the stable sign of σ,
+    else an integer array; they are negated here and, by
+    :func:`apply_transform`, in the later columns.  Negating a whole
+    generator row leaves ``Gᵀ W G`` (hence ``T``) unchanged and keeps
+    the diagonal of ``R`` positive.
+
+    Raises
+    ------
+    BreakdownError
+        When a pivot's hyperbolic norm falls below
+        ``step.breakdown_tol``.
+    """
+    k = upper.shape[1]
+    acc = step.accumulator(representation)
+    # Fortran-ordered working copies: the column step updates in place.
+    fu = np.asfortranarray(upper)
+    fl = np.asfortranarray(lower)
+    for j in range(k):
+        x, beta = step(fu[:, j:], fl[:, j:], row_offset + j)
+        with step.blocking:
+            acc.push(x, beta, step.support)
+    if fl is not lower:
+        lower[:] = fl
+    # Of ``upper`` the steps changed only the pivot rows; one pass copies
+    # them back with their signs fixed.  The all-negative test runs in
+    # Python: for a few pivots it is cheaper than a NumPy reduction.
+    rows = slice(row_offset, row_offset + k)
+    if max(fu.diagonal(-row_offset).tolist()) < 0:
+        np.multiply(fu[rows], -1.0, out=upper[rows])
+        return acc.finish(), rows
+    upper[rows] = fu[rows]
+    negrows = np.flatnonzero(fu.diagonal(-row_offset) < 0) + row_offset
+    upper[negrows] *= -1.0
+    return acc.finish(), negrows
+
+
+def apply_transform(u: BlockReflector, negrows: slice | np.ndarray,
+                    upper: np.ndarray, lower: np.ndarray) -> None:
+    """Phase 2: apply a panel's ``(U, negrows)`` from
+    :func:`build_transform` in place to the ``m × c`` views
+    ``upper``/``lower`` of columns after the panel."""
+    u.apply_pair(upper, lower)
+    if isinstance(negrows, slice):
+        # ``np.multiply`` on the view: ``upper[negrows] *= -1.0`` would
+        # also copy the rows back onto themselves, and NumPy 2.4's
+        # ``np.negative(…, out=…)`` writes the wrong elements of a
+        # one-row view whose column step is 64 bytes (float64) or 16
+        # bytes (float32), as a distributed PE's rows can be.
+        neg = upper[negrows]
+        np.multiply(neg, -1.0, out=neg)
+    else:
+        upper[negrows] *= -1.0
 
 
 def _eliminate(step: ColumnStep, upper: np.ndarray, lower: np.ndarray,
-               representation: str, panel: int | None,
-               pivot_sign_fixup: bool,
-               collect: list[BlockReflector] | None) -> None:
+               representation: str, panel: int | None) -> None:
     """:func:`eliminate_block` with the column step built by the caller
-    (the factorization loops build one for all their block steps)."""
+    (the factorization loop builds one for all its block steps): each
+    panel of ``panel`` pivot columns is built, then applied to the
+    columns after it — the level-3-rich Phase 2."""
     m, q = upper.shape
     if panel is None or panel <= 0 or panel > m:
         panel = m
-    application = blas.category("application")
     for pstart in range(0, m, panel):
         pend = min(pstart + panel, m)
-        acc = step.accumulator(representation)
-        # Panel working set in Fortran order: every shrinking ``[:, j:]``
-        # slice stays F-contiguous, as the column step requires.
-        pup = np.asfortranarray(upper[:, pstart:pend])
-        plo = np.asfortranarray(lower[:, pstart:pend])
-        for k in range(pstart, pend):
-            j = k - pstart
-            x, beta = step(pup[:, j:], plo[:, j:], k)
-            with step.blocking:
-                acc.push(x, beta, step.support)
-        upper[:, pstart:pend] = pup
-        lower[:, pstart:pend] = plo
-        u_block = acc.finish()
-        if collect is not None:
-            collect.append(u_block)
-        # Apply the accumulated block transformation to the trailing
-        # columns (rest of the pivot block, then the rest of the
-        # generator) — the level-3-rich Phase 2.
+        u, negrows = build_transform(step, upper[:, pstart:pend],
+                                     lower[:, pstart:pend], representation,
+                                     pstart)
         if pend < q:
-            with application:
-                u_block.apply_pair(upper[:, pend:], lower[:, pend:])
-    # Each pivot column c is frozen once eliminated and so misses the pure
-    # W sign-flip action of the (m−1−c) later reflectors (their rank-1
-    # parts vanish on it).  Identity when Σ = I (SPD); required for
-    # consistency when the upper signature carries −1 entries.
-    if not step.wu_identity:
-        cols = np.nonzero((m - 1 - np.arange(m)) % 2 == 1)[0]
-        if cols.size:
-            upper[:, cols] *= step.wf[:m, None]
-    if pivot_sign_fixup:
-        # Keep the pivot diagonal positive: flipping a whole generator row
-        # leaves Gᵀ W G (and hence T) invariant.
-        neg = upper.diagonal() < 0
-        if neg.all():
-            np.negative(upper, out=upper)
-        elif neg.any():
-            upper *= np.where(neg, -1.0, 1.0)[:, None]
+            with step.application:
+                apply_transform(u, negrows, upper[:, pend:],
+                                lower[:, pend:])
 
 
 def schur_spd_factor(t: SymmetricBlockToeplitz | Generator, *,
-                     options: SchurOptions | None = None,
-                     keep_reflectors: bool = False) -> SPDFactorization:
+                     options: SchurOptions | None = None
+                     ) -> SPDFactorization:
     """Cholesky factorization ``T = Rᵀ R`` of an SPD block Toeplitz matrix.
 
     Parameters
@@ -385,22 +436,20 @@ def schur_spd_factor(t: SymmetricBlockToeplitz | Generator, *,
         The matrix (or its precomputed generator).
     options : SchurOptions
         Representation / blocking / in-place switches.
-    keep_reflectors : bool
-        Retain the per-step block reflectors (used by the error analysis
-        and some tests; costs memory).
 
     Raises
     ------
     NotPositiveDefiniteError
         If a pivot with non-positive hyperbolic norm certifies that some
-        leading principal minor of ``T`` is not positive.
+        leading principal minor of ``T`` is not positive, or if a
+        generator ``t`` has an upper signature other than ``+I`` (its
+        leading block is then not positive definite).
     """
     opts = options or SchurOptions()
     g = _working_generator(t, opts)
     m, p = g.block_size, g.num_blocks
     n = m * p
     r = PackedUpper.zeros(n, dtype=g.gen.dtype)
-    collected: list[BlockReflector] | None = [] if keep_reflectors else None
     with ExitStack() as stack:
         sp = stack.enter_context(obs.span(
             "schur.eliminate", representation=opts.representation,
@@ -409,7 +458,7 @@ def schur_spd_factor(t: SymmetricBlockToeplitz | Generator, *,
         # Measured per-category flops ride on the span (obs runs only).
         counter = (stack.enter_context(blas.counting())
                    if obs.enabled() else None)
-        for i, upper in _block_rows(g, opts, collected):
+        for i, upper in _block_rows(g, opts):
             r.write_rows(i * m, upper)
         if counter is not None:
             sp.set(counted_flops=counter.total,
@@ -418,9 +467,7 @@ def schur_spd_factor(t: SymmetricBlockToeplitz | Generator, *,
             diag = np.abs(r.diagonal())
             health.record_pivot_spread(float(diag.min()),
                                        float(diag.max()))
-    return SPDFactorization(r, m, p, opts,
-                            reflectors=collected or [],
-                            precision=opts.precision)
+    return SPDFactorization(r, m, p, opts, precision=opts.precision)
 
 
 def _working_generator(t: SymmetricBlockToeplitz | Generator,
@@ -440,8 +487,7 @@ def _working_generator(t: SymmetricBlockToeplitz | Generator,
     return g
 
 
-def _block_rows(g: Generator, opts: SchurOptions,
-                collected: list[BlockReflector] | None = None
+def _block_rows(g: Generator, opts: SchurOptions
                 ) -> Iterator[tuple[int, np.ndarray]]:
     """Eliminate ``g`` in place, yielding ``(i, R[i·m:(i+1)·m, i·m:])``.
 
@@ -457,9 +503,11 @@ def _block_rows(g: Generator, opts: SchurOptions,
     ------
     NotPositiveDefiniteError
         When a pivot's hyperbolic norm certifies a non-positive leading
-        principal minor.
+        principal minor, or before the first row when the upper
+        signature of ``g`` is not ``+I``.
     """
     m, p = g.block_size, g.num_blocks
+    step = _spd_step(g.w, g.gen.dtype, opts.breakdown_tol)
     n = m * p
     top, bot = g.gen[:m], g.gen[m:]
     # The in-place variant flushes against the whole generator's scale,
@@ -470,7 +518,6 @@ def _block_rows(g: Generator, opts: SchurOptions,
         flush_tiny(top)
         flush_tiny(bot)
     yield 0, top
-    step = ColumnStep(g.w, g.gen.dtype, breakdown_tol=opts.breakdown_tol)
     for i in range(1, p):
         if opts.in_place:
             upper = top[:, :n - i * m]
@@ -483,8 +530,7 @@ def _block_rows(g: Generator, opts: SchurOptions,
             upper = top[:, i * m:]
         lower = bot[:, i * m:]
         try:
-            _eliminate(step, upper, lower, opts.representation, opts.panel,
-                       opts.normalize_diagonal, collected)
+            _eliminate(step, upper, lower, opts.representation, opts.panel)
         except BreakdownError as exc:
             raise NotPositiveDefiniteError(
                 f"matrix is not positive definite: {exc}") from exc

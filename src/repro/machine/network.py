@@ -7,8 +7,6 @@ latency term of the network cost model.
 
 from __future__ import annotations
 
-from math import ceil, log2
-
 from repro.errors import ShapeError
 
 __all__ = ["Topology", "LineTopology", "Torus3D"]
@@ -92,10 +90,3 @@ class Torus3D(Topology):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Torus3D(nproc={self.nproc}, dims={self.dims})"
-
-
-def log2ceil(n: int) -> int:
-    """⌈log₂ n⌉ for n ≥ 1 (tree-stage counts)."""
-    if n < 1:
-        raise ShapeError(f"n must be ≥ 1, got {n}")
-    return ceil(log2(n)) if n > 1 else 0

@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import default_registry
 from repro.obs.spans import enabled
 
 __all__ = [
@@ -58,10 +58,6 @@ MARGIN_WARN_RATIO = 10.0
 CONTRACTION_WARN = 0.5
 
 
-def _registry(registry: MetricsRegistry | None) -> MetricsRegistry:
-    return registry if registry is not None else default_registry()
-
-
 def _track_min(gauge, value: float) -> None:
     current = gauge.value()
     if current == 0.0 or value < current:
@@ -76,8 +72,7 @@ def _track_max(gauge, value: float) -> None:
 # ----------------------------------------------------------------------
 # Hooks (call sites guard with ``obs.enabled()``)
 # ----------------------------------------------------------------------
-def record_rotation_margin(margin: float, tol: float, *,
-                           registry: MetricsRegistry | None = None) -> None:
+def record_rotation_margin(margin: float, tol: float) -> None:
     """One pivot's hyperbolic margin ``|uᵀWu|/‖u‖²`` against its
     breakdown tolerance ``tol``.
 
@@ -87,7 +82,7 @@ def record_rotation_margin(margin: float, tol: float, *,
     """
     if not enabled():
         return
-    reg = _registry(registry)
+    reg = default_registry()
     _track_min(reg.gauge(
         "repro_health_rotation_margin_min",
         "Smallest hyperbolic pivot margin |uᵀWu|/‖u‖² seen"), margin)
@@ -101,12 +96,11 @@ def record_rotation_margin(margin: float, tol: float, *,
         "Hyperbolic reflectors built").inc(1)
 
 
-def record_growth_factor(step: int, norm: float, *,
-                         registry: MetricsRegistry | None = None) -> None:
+def record_growth_factor(step: int, norm: float) -> None:
     """The §8.2 growth proxy ``‖U‖₂`` of one block step's transformation."""
     if not enabled():
         return
-    reg = _registry(registry)
+    reg = default_registry()
     _track_max(reg.gauge(
         "repro_health_growth_factor_max",
         "Largest per-step hyperbolic transformation 2-norm (the §8.2 "
@@ -119,12 +113,11 @@ def record_growth_factor(step: int, norm: float, *,
         "Block elimination steps with a recorded growth factor").inc(1)
 
 
-def record_pivot_spread(diag_min: float, diag_max: float, *,
-                        registry: MetricsRegistry | None = None) -> None:
+def record_pivot_spread(diag_min: float, diag_max: float) -> None:
     """Spread of the triangular factor's diagonal (SPD pivot decay)."""
     if not enabled():
         return
-    reg = _registry(registry)
+    reg = default_registry()
     reg.gauge(
         "repro_health_pivot_min",
         "Smallest diagonal entry of the most recent triangular factor"
@@ -137,14 +130,13 @@ def record_pivot_spread(diag_min: float, diag_max: float, *,
             diag_min / diag_max)
 
 
-def record_indefinite_events(perturbations: int, interchanges: int, *,
-                             registry: MetricsRegistry | None = None
-                             ) -> None:
+def record_indefinite_events(perturbations: int,
+                             interchanges: int) -> None:
     """Singular-minor perturbations and row interchanges of one
     indefinite factorization."""
     if not enabled():
         return
-    reg = _registry(registry)
+    reg = default_registry()
     if perturbations:
         reg.counter(
             "repro_health_perturbations_total",
@@ -158,12 +150,11 @@ def record_indefinite_events(perturbations: int, interchanges: int, *,
             "diagonal").inc(interchanges)
 
 
-def record_admission(precision: str, cond: float, admitted: bool, *,
-                     registry: MetricsRegistry | None = None) -> None:
+def record_admission(precision: str, cond: float, admitted: bool) -> None:
     """One condest admission decision for a reduced-precision plan."""
     if not enabled():
         return
-    reg = _registry(registry)
+    reg = default_registry()
     reg.counter(
         "repro_health_admission_total",
         "Reduced-precision admission decisions (cond·ε gate)"
@@ -175,8 +166,7 @@ def record_admission(precision: str, cond: float, admitted: bool, *,
             "decision").set(cond)
 
 
-def record_refinement(residual_norms, converged: bool, *,
-                      registry: MetricsRegistry | None = None) -> None:
+def record_refinement(residual_norms, converged: bool) -> None:
     """Convergence curve of one refinement run.
 
     Stores the geometric-mean per-sweep residual contraction (the
@@ -184,7 +174,7 @@ def record_refinement(residual_norms, converged: bool, *,
     """
     if not enabled():
         return
-    reg = _registry(registry)
+    reg = default_registry()
     norms = [float(r) for r in residual_norms]
     if len(norms) >= 2 and norms[0] > 0.0 and norms[-1] > 0.0:
         sweeps = len(norms) - 1
@@ -217,8 +207,7 @@ def _sum_labeled(snapshot: dict, name: str,
     return total
 
 
-def health_summary(snapshot: dict | None = None, *,
-                   registry: MetricsRegistry | None = None) -> dict:
+def health_summary(snapshot: dict | None = None) -> dict:
     """Roll the health gauges up into an early-warning summary.
 
     ``snapshot`` is a flat metrics dict (as produced by
@@ -229,7 +218,7 @@ def health_summary(snapshot: dict | None = None, *,
     ``warnings`` list of human-readable early-warning strings.
     """
     if snapshot is None:
-        snapshot = _registry(registry).snapshot()
+        snapshot = default_registry().snapshot()
     margin_ratio = snapshot.get("repro_health_rotation_margin_ratio_min")
     growth = snapshot.get("repro_health_growth_factor_max")
     contraction = snapshot.get("repro_health_refinement_contraction_max")

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from math import ceil
 
 from repro.blas.cray import T3DNetworkParameters, t3d_node_model
+from repro.core import flops
 from repro.errors import DistributionError, ShapeError
-from repro.parallel import costs
 from repro.parallel.distributions import (
     BlockCyclicLayout,
     SpreadLayout,
@@ -63,8 +63,8 @@ def analytic_factor_time(n: int, m: int, nproc: int, *,
 
     if isinstance(layout, BlockCyclicLayout):
         t_build = node_model.time_many(
-            costs.blocking_calls(m, representation=representation))
-        bcast_words = costs.transform_words(representation, m) + m
+            flops.blocking_calls(m, representation=representation))
+        bcast_words = flops.transform_words(representation, m) + m
         t_bcast = network.broadcast_time(bcast_words, nproc)
         t_barrier = network.barrier_time(nproc)
         for i in range(1, p):
@@ -81,7 +81,7 @@ def analytic_factor_time(n: int, m: int, nproc: int, *,
             width = min(kmax, max(active - 1, 0)) * m
             if width > 0:
                 out.add("application", node_model.time_many(
-                    costs.application_calls(
+                    flops.application_calls(
                         m, width, representation=representation)))
             out.add("barrier", t_barrier)
         return out
@@ -90,7 +90,7 @@ def analytic_factor_time(n: int, m: int, nproc: int, *,
         s = layout.spread
         mc = layout.chunk_width(m)
         t_barrier = network.barrier_time(nproc)
-        bcast_words = costs.transform_words(representation, m, k=mc) + mc
+        bcast_words = flops.transform_words(representation, m, k=mc) + mc
         t_bcast = network.broadcast_time(bcast_words, nproc)
         for i in range(1, p):
             active_chunks = (p - i) * s
@@ -99,14 +99,14 @@ def analytic_factor_time(n: int, m: int, nproc: int, *,
                                               count=kmax))
             for c in range(s):
                 out.add("blocking", node_model.time_many(
-                    costs.blocking_calls(
+                    flops.blocking_calls(
                         m, representation=representation,
                         cols=mc, start_index=c * mc)))
                 out.add("broadcast", t_bcast)
                 width = min(kmax, max(active_chunks - 1, 0)) * mc
                 if width > 0:
                     out.add("application", node_model.time_many(
-                        costs.application_calls(
+                        flops.application_calls(
                             m, width, representation=representation,
                             k=mc)))
             out.add("barrier", t_barrier)

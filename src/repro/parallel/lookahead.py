@@ -45,10 +45,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import flops
+from repro.core.schur_spd import (
+    ColumnStep,
+    SchurOptions,
+    apply_transform,
+    build_transform,
+)
 from repro.machine.ops import Broadcast, Compute, Put, Recv
-from repro.parallel import costs
 from repro.parallel.distributions import BlockCyclicLayout
-from repro.parallel.spmd import build_transform, column_index
+from repro.parallel.spmd import column_index
 
 __all__ = ["Ops", "block_cyclic_lookahead_program"]
 
@@ -88,16 +94,17 @@ def block_cyclic_lookahead_program(ctx, *, layout: BlockCyclicLayout,
     transport (see the module docstring).
     """
     rank = ctx.rank
+    step = ColumnStep(w, gen.dtype, breakdown_tol=SchurOptions.breakdown_tol)
     my_blocks = layout.blocks_of(rank, p)
     data = gen[:, column_index([j * m for j in my_blocks], m)]
     pos = {j: idx for idx, j in enumerate(my_blocks)}
     u_cache: dict[int, tuple] = {}
     state = {j: 0 for j in my_blocks}
-    app_calls = costs.application_calls(m, m,
+    app_calls = flops.application_calls(m, m,
                                         representation=representation)
     app_time = (node_model.time_many(app_calls)
                 if node_model is not None else 0.0)
-    build_calls = costs.blocking_calls(m, representation=representation)
+    build_calls = flops.blocking_calls(m, representation=representation)
     build_time = (node_model.time_many(build_calls)
                   if node_model is not None else 0.0)
 
@@ -114,10 +121,7 @@ def block_cyclic_lookahead_program(ctx, *, layout: BlockCyclicLayout,
         src, dest = layout.owner(j - 1), layout.owner(j + 1)
         for s in range(state[j] + 1, min(to_step, j - 1) + 1):
             up[:] = yield from comm.recv(src, ("up", s, j))
-            u_blk, neg = u_cache[s]
-            u_blk.apply_pair(up, low)
-            if neg.size:
-                up[neg] *= -1.0
+            apply_transform(*u_cache[s], up, low)
             yield from comm.compute(app_time, "application")
             if j <= p - 2:
                 yield from comm.put(dest, ("up", s + 1, j + 1), up)
@@ -141,7 +145,7 @@ def block_cyclic_lookahead_program(ctx, *, layout: BlockCyclicLayout,
             yield from comm.put(layout.owner(j + 1), ("up", 1, j + 1),
                                 upper_block(j))
 
-    words = costs.transform_words(representation, m) + m
+    words = flops.transform_words(representation, m) + m
     for i in range(1, p):
         pivot_owner = layout.owner(i)
         payload = None
@@ -149,7 +153,8 @@ def block_cyclic_lookahead_program(ctx, *, layout: BlockCyclicLayout,
             yield from advance(i, i - 1)
             up = upper_block(i)
             up[:] = yield from comm.recv(layout.owner(i - 1), ("pivot", i))
-            payload = build_transform(up, lower_block(i), w, representation)
+            payload = build_transform(step, up, lower_block(i),
+                                      representation)
             yield from comm.compute(build_time, "blocking")
             if packed is not None:
                 packed.write_block(i * m, i * m, up)

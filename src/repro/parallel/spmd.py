@@ -24,11 +24,14 @@ broadcasts (one per chunk owner), trading extra communication for
 intra-block parallelism.
 
 The numerics are real: each PE copies its columns out of the generator
-it is handed, transforms them, and writes its blocks of ``R`` straight
-into the :class:`~repro.core.packed.PackedUpper` it is handed, which
-matches the serial factorization to rounding.  Compute *time* is charged
-from the node performance model via the primitive-call decomposition in
-:mod:`repro.parallel.costs`.
+it is handed, transforms them with the serial factor's own block step
+(:func:`~repro.core.schur_spd.build_transform` and
+:func:`~repro.core.schur_spd.apply_transform`), and writes its blocks of
+``R`` straight into the :class:`~repro.core.packed.PackedUpper` it is
+handed, which matches the serial factorization bit for bit (Version 3
+with spread ``s`` matches the serial factor with ``panel = m / s``).
+Compute *time* is charged from the node performance model via the
+step's primitive-call decomposition in :mod:`repro.core.flops`.
 
 The programs are written once and run on two executors: the simulated
 T3D (:class:`~repro.machine.Machine`, through
@@ -45,19 +48,24 @@ import bisect
 
 import numpy as np
 
+from repro.core import flops
 from repro.core.generator import spd_generator
-from repro.core.schur_spd import ColumnStep, SchurOptions
+from repro.core.schur_spd import (
+    ColumnStep,
+    SchurOptions,
+    apply_transform,
+    build_transform,
+)
 from repro.errors import DistributionError, ShapeError
 from repro.machine.ops import Barrier, Broadcast, Compute, Put, Recv
-from repro.parallel import costs
 from repro.parallel.distributions import (
     BlockCyclicLayout,
     SpreadLayout,
     make_layout,
 )
 
-__all__ = ["block_cyclic_program", "spread_program", "build_transform",
-           "column_index", "resolve_run"]
+__all__ = ["block_cyclic_program", "spread_program", "column_index",
+           "resolve_run"]
 
 
 #: Ends each write of ``R``: free on the simulator, timed as the
@@ -130,40 +138,6 @@ def resolve_run(t, nproc: int | None = None, *, b: float = 1, plan=None,
     return layout, spd_generator(t), program, representation, schedule
 
 
-def build_transform(upper: np.ndarray, lower: np.ndarray, w: np.ndarray,
-                    representation: str = "vy2", row_offset: int = 0):
-    """Build one step's transformation ``(U, negrows)`` in place.
-
-    Eliminates the ``mc`` lower columns of a pivot block (``mc = m``) or
-    of one of its chunks (Version 3): ``upper``/``lower`` are ``m × mc``
-    views of columns ``row_offset … row_offset+mc`` of the pivot block,
-    whose pivot entries sit at rows ``row_offset + k``.  ``negrows`` are
-    the pivot rows whose diagonal came out negative; they are flipped
-    here and, by every PE, in the columns the transformation is applied
-    to.  A pivot whose hyperbolic norm falls below the serial factor's
-    ``SchurOptions.breakdown_tol`` raises
-    :class:`~repro.errors.BreakdownError`.
-    """
-    mc = upper.shape[1]
-    step = ColumnStep(w, upper.dtype,
-                      breakdown_tol=SchurOptions.breakdown_tol)
-    acc = step.accumulator(representation)
-    # Fortran-ordered working copies: the column step updates in place.
-    fu = np.asfortranarray(upper)
-    fl = np.asfortranarray(lower)
-    for k in range(mc):
-        x, beta = step(fu[:, k:], fl[:, k:], row_offset + k)
-        with step.blocking:
-            acc.push(x, beta, step.support)
-    upper[:] = fu
-    lower[:] = fl
-    diag = fu[row_offset + np.arange(mc), np.arange(mc)]
-    negrows = row_offset + np.nonzero(diag < 0)[0]
-    if negrows.size:
-        upper[negrows] *= -1.0
-    return acc.finish(), negrows
-
-
 def _charge(model, calls, category):
     if model is None or not calls:
         return Compute(0.0, category)
@@ -226,6 +200,7 @@ def block_cyclic_program(ctx, *, layout: BlockCyclicLayout, m: int, p: int,
     its blocks of ``R`` into it as they are finished.
     """
     rank, nproc = ctx.rank, ctx.nproc
+    step = ColumnStep(w, gen.dtype, breakdown_tol=SchurOptions.breakdown_tol)
     my_blocks = layout.blocks_of(rank, p)
     cols = column_index([j * m for j in my_blocks], m)
     data = gen[:, cols]
@@ -262,15 +237,15 @@ def block_cyclic_program(ctx, *, layout: BlockCyclicLayout, m: int, p: int,
         pivot_owner = layout.owner(i)
         payload = None
         if rank == pivot_owner:
-            payload = build_transform(upper_block(i), lower_block(i), w,
+            payload = build_transform(step, upper_block(i), lower_block(i),
                                       representation)
             yield _charge(node_model,
-                          costs.blocking_calls(
+                          flops.blocking_calls(
                               m, representation=representation),
                           "blocking")
 
         # ---------------- broadcast -------------------------------------
-        words = costs.transform_words(representation, m) + m
+        words = flops.transform_words(representation, m) + m
         got = yield Broadcast(root=pivot_owner, payload=payload,
                               words=words, category="broadcast")
         u_block, negrows = got
@@ -280,12 +255,9 @@ def block_cyclic_program(ctx, *, layout: BlockCyclicLayout, m: int, p: int,
         if active:
             start = pos[active[0]] * m
             upv = data[:m, start:]
-            lov = data[m:, start:]
-            u_block.apply_pair(upv, lov)
-            if negrows.size:
-                upv[negrows] *= -1.0
+            apply_transform(u_block, negrows, upv, data[m:, start:])
             yield _charge(node_model,
-                          costs.application_calls(
+                          flops.application_calls(
                               m, upv.shape[1],
                               representation=representation),
                           "application")
@@ -311,6 +283,7 @@ def spread_program(ctx, *, layout: SpreadLayout, m: int, p: int,
     chunks of ``m / s`` columns in place of whole block columns.
     """
     rank, nproc = ctx.rank, ctx.nproc
+    step = ColumnStep(w, gen.dtype, breakdown_tol=SchurOptions.breakdown_tol)
     s = layout.spread
     mc = layout.chunk_width(m)
     my_chunks = layout.chunks_of(rank, p)
@@ -355,14 +328,14 @@ def spread_program(ctx, *, layout: SpreadLayout, m: int, p: int,
             payload = None
             if rank == root:
                 payload = build_transform(
-                    upper_chunk(i, c), lower_chunk(i, c), w,
+                    step, upper_chunk(i, c), lower_chunk(i, c),
                     representation, row_offset=c * mc)
                 yield _charge(node_model,
-                              costs.blocking_calls(
+                              flops.blocking_calls(
                                   m, representation=representation,
                                   cols=mc, start_index=c * mc),
                               "blocking")
-            words = costs.transform_words(representation, m, k=mc) + mc
+            words = flops.transform_words(representation, m, k=mc) + mc
             got = yield Broadcast(root=root, payload=payload, words=words,
                                   category="broadcast")
             u_block, negrows = got
@@ -372,12 +345,9 @@ def spread_program(ctx, *, layout: SpreadLayout, m: int, p: int,
             if active:
                 start = pos[active[0]] * mc
                 upv = data[:m, start:]
-                lov = data[m:, start:]
-                u_block.apply_pair(upv, lov)
-                if negrows.size:
-                    upv[negrows] *= -1.0
+                apply_transform(u_block, negrows, upv, data[m:, start:])
                 yield _charge(node_model,
-                              costs.application_calls(
+                              flops.application_calls(
                                   m, upv.shape[1],
                                   representation=representation, k=mc),
                               "application")

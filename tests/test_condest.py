@@ -7,6 +7,7 @@ from repro.core.condest import condest, invnorm_estimate, one_norm
 from repro.core.schur_spd import schur_spd_factor
 from repro.errors import ShapeError
 from repro.toeplitz import (
+    BlockToeplitz,
     ar_block_toeplitz,
     indefinite_toeplitz,
     kms_toeplitz,
@@ -14,11 +15,20 @@ from repro.toeplitz import (
 )
 
 
+def _nonsymmetric_block_toeplitz(p=5, m=3, seed=4):
+    rng = np.random.default_rng(seed)
+    row = rng.standard_normal((p, m, m))
+    col = rng.standard_normal((p, m, m))
+    col[0] = row[0]
+    return BlockToeplitz(col, row)
+
+
 class TestOneNorm:
     @pytest.mark.parametrize("maker", [
         lambda: kms_toeplitz(17, 0.6),
         lambda: ar_block_toeplitz(6, 3, seed=1),
         lambda: indefinite_toeplitz(11, seed=2),
+        _nonsymmetric_block_toeplitz,
     ])
     def test_matches_dense(self, maker):
         t = maker()

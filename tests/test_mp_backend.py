@@ -121,7 +121,7 @@ class TestCommVolume:
         t = ar_block_toeplitz(6, 3, seed=2)
         run = mp_factorization(t, 2, b=1)
         # Every PE receives transform_words + m words per step.
-        from repro.parallel.costs import transform_words
+        from repro.core.flops import transform_words
         per_step = transform_words("vy2", 3) + 3
         expected = per_step * (run.num_blocks - 1)
         assert all(v == expected

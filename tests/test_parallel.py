@@ -4,7 +4,7 @@ machine (Section 7)."""
 import numpy as np
 import pytest
 
-from repro.core.schur_spd import schur_spd_factor
+from repro.core.schur_spd import SchurOptions, schur_spd_factor
 from repro.errors import DistributionError
 from repro.parallel import (
     BlockCyclicLayout,
@@ -67,6 +67,52 @@ class TestNumericalEquivalence:
         y = sla.solve_triangular(run.r, b, trans=1)
         x = sla.solve_triangular(run.r, y)
         np.testing.assert_allclose(t.dense() @ x, b, atol=1e-8)
+
+
+def _assert_serial_bitwise(factor, t, nproc):
+    """``factor(t, nproc, b=, schedule=)`` returns the serial packed
+    ``R`` byte for byte: Versions 1/2 and lookahead the default factor,
+    Version 3 with spread ``s`` (where ``s`` divides ``m``) the factor
+    with ``panel = m / s``."""
+    m = t.block_size
+    runs = [(b, schedule, None)
+            for b, schedule in ((1, "bulk"), (2, "bulk"), (1, "lookahead"))]
+    runs += [(1.0 / s, "bulk", m // s)
+             for s in range(2, nproc + 1) if m % s == 0]
+    for b, schedule, panel in runs:
+        serial = schur_spd_factor(t, options=SchurOptions(panel=panel))
+        run = factor(t, nproc, b=b, schedule=schedule)
+        if panel == 1:
+            # One-column chunks agree to rounding only: a one-reflector
+            # application takes a different BLAS path on a PE's
+            # Fortran-ordered columns than on the serial C-ordered
+            # generator.
+            np.testing.assert_allclose(run.packed.data,
+                                       serial.packed.data, atol=1e-12)
+        else:
+            assert (run.packed.data.tobytes()
+                    == serial.packed.data.tobytes()), (b, schedule)
+
+
+class TestSerialStep:
+    """Every distributed program runs the serial factor's block step, so
+    each returns the serial factor bit for bit."""
+
+    @pytest.mark.parametrize("blocks,m,nproc", [
+        (64, 4, 2), (64, 4, 3), (64, 4, 4), (13, 3, 2), (13, 3, 3)])
+    def test_simulated_runs_give_the_serial_factor(self, blocks, m, nproc):
+        _assert_serial_bitwise(simulate_factorization,
+                               ar_block_toeplitz(blocks, m, seed=0), nproc)
+
+    @pytest.mark.parametrize("blocks,m", [(64, 4), (13, 3)])
+    def test_multiprocess_runs_give_the_serial_factor(self, blocks, m):
+        from repro.parallel import mp_factorization, multiprocess_available
+
+        ok, reason = multiprocess_available()
+        if not ok:
+            pytest.skip(reason)
+        _assert_serial_bitwise(mp_factorization,
+                               ar_block_toeplitz(blocks, m, seed=0), 2)
 
 
 class TestReports:
@@ -143,8 +189,12 @@ class TestStepTransform:
     @pytest.mark.parametrize("m,row_offset", [(2, 0), (4, 2)])
     def test_near_zero_pivot_breaks_down_at_the_pivot(self, m, row_offset):
         from repro.core.generator import block_schur_signature
+        from repro.core.schur_spd import (
+            ColumnStep,
+            SchurOptions,
+            build_transform,
+        )
         from repro.errors import BreakdownError
-        from repro.parallel.spmd import build_transform
 
         # Two pivot columns; the first has |uᵀWu| = 2.0e-15·‖u‖².
         upper = np.full((m, 2), 0.1)
@@ -152,8 +202,10 @@ class TestStepTransform:
         lower = np.zeros((m, 2))
         lower[0] = [np.sqrt(1.0 - 4e-15), 0.3]
         lower[1, 1] = 0.2
+        step = ColumnStep(block_schur_signature(m), upper.dtype,
+                          breakdown_tol=SchurOptions.breakdown_tol)
         with pytest.raises(BreakdownError, match="zero hyperbolic norm"):
-            build_transform(upper, lower, block_schur_signature(m),
+            build_transform(step, upper, lower, "vy2",
                             row_offset=row_offset)
 
 

@@ -5,8 +5,19 @@ import pytest
 import scipy.linalg as sla
 
 from repro.core.block_reflector import REPRESENTATIONS
-from repro.core.generator import spd_generator
-from repro.core.schur_spd import SchurOptions, schur_spd_factor
+from repro.core.generator import (
+    block_schur_signature,
+    indefinite_generator,
+    spd_generator,
+)
+from repro.core.schur_spd import (
+    ColumnStep,
+    SchurOptions,
+    apply_transform,
+    build_transform,
+    eliminate_block,
+    schur_spd_factor,
+)
 from repro.errors import (
     InvalidOptionError,
     NotPositiveDefiniteError,
@@ -184,23 +195,51 @@ class TestBreakdown:
         with pytest.raises(NotPositiveDefiniteError):
             schur_spd_factor(t)
 
+    @pytest.mark.parametrize("t", [
+        kms_toeplitz(16, 0.5).scaled(-1.0),
+        ar_block_toeplitz(6, 2, seed=1).scaled(-1.0),
+    ], ids=["kms16", "ar6x2"])
+    def test_negative_upper_signature_rejected(self, t):
+        """A generator whose upper signature is not +I has a leading
+        block that is not positive definite; it must raise, not return
+        a factor with ``RᵀR = −T``."""
+        g = indefinite_generator(t)
+        with pytest.raises(NotPositiveDefiniteError):
+            schur_spd_factor(g)
+        m = g.block_size
+        upper, lower = g.gen[:m, m:].copy(), g.gen[m:, m:].copy()
+        with pytest.raises(NotPositiveDefiniteError):
+            eliminate_block(upper, lower, g.w)
 
-class TestReflectorCollection:
-    def test_keep_reflectors(self, small_spd_block):
-        fact = schur_spd_factor(small_spd_block, keep_reflectors=True)
-        # one block reflector per elimination step (single panel)
-        assert len(fact.reflectors) == small_spd_block.num_blocks - 1
 
-    def test_no_reflectors_by_default(self, small_spd_block):
-        fact = schur_spd_factor(small_spd_block)
-        assert fact.reflectors == []
-
-    def test_panel_reflector_count(self):
-        t = ar_block_toeplitz(4, 4, seed=6)
-        fact = schur_spd_factor(t, options=SchurOptions(panel=2),
-                                keep_reflectors=True)
-        # two panels per step × 3 steps
-        assert len(fact.reflectors) == 6
+class TestBlockStep:
+    @pytest.mark.parametrize("representation", ["vy2", "yty", "unblocked"])
+    def test_mixed_pivot_signs(self, representation):
+        """A panel whose second pivot stays positive: ``negrows`` is an
+        index array, and both phases flip exactly that row."""
+        rng = np.random.default_rng(3)
+        m, k = 3, 2
+        up0 = np.triu(rng.uniform(0.2, 0.5, (m, 5)), 0)
+        up0[[0, 1, 2], [0, 1, 2]] = [2.0, -1.5, 1.0]
+        lo0 = 0.1 * rng.standard_normal((m, 5))
+        up, lo = up0.copy(), lo0.copy()
+        step = ColumnStep(block_schur_signature(m), np.float64,
+                          breakdown_tol=SchurOptions.breakdown_tol)
+        u, negrows = build_transform(step, up[:, :k], lo[:, :k],
+                                     representation)
+        assert list(negrows) == [0]
+        assert np.all(up.diagonal()[:k] > 0)
+        assert not lo[:, :k].any()
+        unflipped_up, unflipped_lo = up[:, k:].copy(), lo[:, k:].copy()
+        u.apply_pair(unflipped_up, unflipped_lo)
+        apply_transform(u, negrows, up[:, k:], lo[:, k:])
+        np.testing.assert_array_equal(up[0, k:], -unflipped_up[0])
+        np.testing.assert_array_equal(up[1:, k:], unflipped_up[1:])
+        np.testing.assert_array_equal(lo[:, k:], unflipped_lo)
+        # Whole-row flips keep the W-Gram matrix of the generator.
+        np.testing.assert_allclose(up.T @ up - lo.T @ lo,
+                                   up0.T @ up0 - lo0.T @ lo0,
+                                   atol=1e-13)
 
 
 class TestRegroupedFactorizations:
