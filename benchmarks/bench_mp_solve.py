@@ -27,7 +27,7 @@ from repro.bench import format_table, write_json_result, write_result
 from repro.bench.runner import full_scale
 from repro.core.schur_spd import schur_spd_factor
 from repro.parallel import (
-    make_layout,
+    Layout,
     mp_factorization,
     mp_triangular_solve,
     multiprocess_available,
@@ -57,7 +57,7 @@ def run_mp_solve_bench(sizes):
     for p_blocks in sizes:
         t = ar_block_toeplitz(p_blocks, BLOCK, seed=0)
         serial = schur_spd_factor(t)
-        layout = make_layout(NPROC, b=1)
+        layout = Layout(NPROC, b=1)
 
         bulk_seconds = _wall(
             lambda: mp_factorization(t, NPROC, collect=False))

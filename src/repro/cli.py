@@ -159,7 +159,7 @@ def _report_backend(fact, pl) -> None:
     clock = (f"{secs * 1e3:.3f} ms wall" if secs is not None
              else f"{run.time * 1e3:.3f} ms virtual")
     line = (f"distributed: backend={backend}, NP={fact.nproc}, "
-            f"Version {pl.distribution_version} "
+            f"Version {fact.layout.version} "
             f"(b={pl.distribution_b}), {clock}")
     if getattr(pl, "schedule", "bulk") != "bulk":
         line += f", schedule={pl.schedule}"
@@ -320,9 +320,8 @@ def _cmd_simulate(args) -> int:
                                  collect=False,
                                  representation=args.representation,
                                  trace=bool(args.trace_out))
-    scheme = "v3" if args.b < 1 else ("v1" if args.b == 1 else "v2")
-    print(f"simulated T3D: NP={args.nproc}, b={args.b} ({scheme}), "
-          f"m={t.block_size}")
+    print(f"simulated T3D: NP={args.nproc}, b={args.b} "
+          f"(v{run.layout.version}), m={t.block_size}")
     print(f"time to factor: {run.time * 1e3:.3f} ms (virtual)")
     print("slowest-PE phase breakdown:")
     for k, v in sorted(run.breakdown().items(), key=lambda kv: -kv[1]):

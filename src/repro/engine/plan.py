@@ -139,12 +139,15 @@ class SolverPlan:
             raise InvalidOptionError(
                 "reduced-precision factorization is serial-only: the "
                 "distributed backends run fp64; drop precision or nproc")
+        # A b that names no distribution on nproc PEs raises here, when
+        # the plan is made, not when it runs.
+        version = self._layout().version if self.nproc > 1 else None
         if self.schedule == "lookahead":
             if self.nproc < 2:
                 raise InvalidOptionError(
                     "schedule='lookahead' needs nproc >= 2 (the pipelined "
                     "schedule overlaps work across PEs)")
-            if self.distribution_b not in (None, 1):
+            if version != 1:
                 raise InvalidOptionError(
                     "schedule='lookahead' is implemented for the Version 1 "
                     f"distribution (b=1); got b={self.distribution_b}")
@@ -162,13 +165,17 @@ class SolverPlan:
         """A modified copy (plans are frozen), checked like a new plan."""
         return dataclasses.replace(self, **changes)
 
-    @property
-    def distribution_version(self) -> int | None:
-        """The paper's scheme number for ``distribution_b`` (1/2/3)."""
+    def _layout(self):
+        """The Figure-5 distribution of a distributed plan (``b = 1``,
+        Version 1, when ``distribution_b`` is unset).
+
+        Raises :class:`~repro.errors.DistributionError` for a ``b`` that
+        names no distribution on ``nproc`` PEs.
+        """
+        from repro.parallel.distributions import Layout
+
         b = self.distribution_b
-        if b is None:
-            return None
-        return 3 if b < 1 else (1 if b == 1 else 2)
+        return Layout(self.nproc, 1 if b is None else b)
 
     # ------------------------------------------------------------------
     def describe(self) -> str:
@@ -197,7 +204,7 @@ class SolverPlan:
                      f"(fingerprint {self.fingerprint[:12]}…)")
         if self.nproc > 1:
             lines.append(
-                f"  distribution    Version {self.distribution_version} "
+                f"  distribution    Version {self._layout().version} "
                 f"(b={self.distribution_b}), NP={self.nproc}")
             lines.append(f"  backend         {self.backend}")
             lines.append(f"  schedule        {self.schedule}")

@@ -1,15 +1,21 @@
 """Distributed block Schur implementations — simulated and real.
 
 Section 7 of the paper: the generator (``2m × mp``) is laid out over a
-linear array of PEs in one of three ways (Figure 5):
+linear array of PEs in one of three ways (Figure 5), all given by one
+:class:`~repro.parallel.distributions.Layout` and its parameter ``b``:
 
-* **Version 1** — each block column to a PE, cyclically;
-* **Version 2** — groups of ``b`` adjacent block columns per PE;
-* **Version 3** — each block column *split* over ``spread`` adjacent PEs.
+* **Version 1** (``b = 1``) — each block column to a PE, cyclically;
+* **Version 2** (``b > 1``) — groups of ``b`` adjacent block columns
+  per PE;
+* **Version 3** (``b = 1/s``) — each block column *split* over ``s``
+  adjacent PEs.
 
-Two execution backends share those layouts and run the same SPMD
-programs (:mod:`~repro.parallel.spmd`, :mod:`~repro.parallel.spmd_solve`;
-shift / build / broadcast / apply / barrier):
+Two execution backends share that layout and run the same SPMD
+programs (one bulk factorization for all three Versions in
+:mod:`~repro.parallel.spmd`, the lookahead schedule in
+:mod:`~repro.parallel.lookahead`, the solve in
+:mod:`~repro.parallel.spmd_solve`; shift / build / broadcast / apply /
+barrier):
 
 * :func:`~repro.parallel.driver.simulate_factorization` runs the real
   numerics through the discrete-event T3D model
@@ -32,11 +38,7 @@ here.
 """
 
 from repro._lazy import lazy_exports
-from repro.parallel.distributions import (
-    BlockCyclicLayout,
-    SpreadLayout,
-    make_layout,
-)
+from repro.parallel.distributions import Layout
 
 # The simulator and the backends load on first use.
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -52,9 +54,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 })
 
 __all__ = [
-    "BlockCyclicLayout",
-    "SpreadLayout",
-    "make_layout",
+    "Layout",
     "simulate_factorization",
     "simulate_triangular_solve",
     "SimulatedRun",

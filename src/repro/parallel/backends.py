@@ -45,7 +45,6 @@ from repro.errors import (
     MultiprocessUnavailableError,
     NotPositiveDefiniteError,
 )
-from repro.parallel.distributions import BlockCyclicLayout
 from repro.parallel.driver import (
     simulate_factorization,
     simulate_triangular_solve,
@@ -152,7 +151,7 @@ class DistributedFactorization:
         """
         if self.run is None:
             return "serial", "no backend run attached"
-        if not isinstance(self.layout, BlockCyclicLayout):
+        if self.layout.spread != 1:
             return "serial", ("Version 3 spread layout "
                               "(solve needs whole block columns)")
         if self.nproc < 2:

@@ -1,80 +1,74 @@
 """Generator data-distribution schemes (Section 7.1, Figure 5).
 
 All three schemes view the machine as a linear array of ``NP`` PEs and
-assign the ``p`` block columns of the ``2m × mp`` generator:
+assign the ``p`` block columns of the ``2m × mp`` generator.  One
+number ``b`` picks the scheme (:class:`Layout`):
 
-* Version 1 (``BlockCyclicLayout(group_size=1)``): block ``j`` on PE
-  ``j mod NP``;
-* Version 2 (``BlockCyclicLayout(group_size=b)``): ``b`` adjacent blocks
-  per PE, cyclically — fewer shift crossings, less parallelism;
-* Version 3 (``SpreadLayout(spread=s)``): block ``j`` split column-wise
-  over ``s`` adjacent PEs — more parallelism inside a block, ``s``
-  broadcasts per elimination step.
+* Version 1 (``b = 1``): block ``j`` on PE ``j mod NP``;
+* Version 2 (``b > 1``): ``b`` adjacent blocks per PE, cyclically —
+  fewer shift crossings, less parallelism;
+* Version 3 (``b = 1/s``): block ``j`` split column-wise over ``s``
+  adjacent PEs — more parallelism inside a block, ``s`` broadcasts per
+  elimination step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 from repro.errors import DistributionError
 
-__all__ = ["BlockCyclicLayout", "SpreadLayout", "make_layout"]
+__all__ = ["Layout"]
 
 
 @dataclass(frozen=True)
-class BlockCyclicLayout:
-    """Versions 1 and 2: whole block columns, cyclic by groups of ``b``."""
+class Layout:
+    """The Figure-5 distribution the paper's ``b`` selects.
 
-    nproc: int
-    group_size: int = 1
-
-    def __post_init__(self):
-        if self.nproc <= 0:
-            raise DistributionError(f"nproc must be positive: {self.nproc}")
-        if self.group_size <= 0:
-            raise DistributionError(
-                f"group size b must be positive: {self.group_size}")
-
-    @property
-    def version(self) -> int:
-        return 1 if self.group_size == 1 else 2
-
-    def owner(self, block: int) -> int:
-        """PE owning block column ``block``."""
-        if block < 0:
-            raise DistributionError(f"negative block index {block}")
-        return (block // self.group_size) % self.nproc
-
-    def blocks_of(self, rank: int, num_blocks: int) -> list[int]:
-        """Ascending list of block columns owned by ``rank``."""
-        return [j for j in range(num_blocks) if self.owner(j) == rank]
-
-    def shift_crossings(self, num_blocks: int, first_active: int) -> int:
-        """Blocks whose ``j → j+1`` shift crosses a PE boundary."""
-        return sum(1 for j in range(first_active, num_blocks - 1)
-                   if self.owner(j) != self.owner(j + 1))
-
-
-@dataclass(frozen=True)
-class SpreadLayout:
-    """Version 3: block column ``j`` split into ``spread`` column chunks.
-
-    Chunk ``c`` of block ``j`` (columns ``c·m/s … (c+1)·m/s``) lives on
-    PE ``(j·s + c) mod NP``, so consecutive chunks are on adjacent PEs
-    and a block's chunks occupy ``s`` adjacent PEs.
+    Block column ``j`` is cut into ``spread`` column chunks, and chunk
+    ``c`` lives on PE ``((j // group_size) · spread + c) mod NP``: with
+    ``b ≥ 1``, ``group_size = b`` and one chunk per block (Versions
+    1/2); with ``b < 1``, ``spread = 1/b`` chunks of one block on
+    adjacent PEs (Version 3).
     """
 
     nproc: int
-    spread: int
+    b: float = 1
+    #: Adjacent block columns per PE (``b`` when ``b ≥ 1``, else 1).
+    group_size: int = field(init=False)
+    #: PEs per block column (``1/b`` when ``b < 1``, else 1).
+    spread: int = field(init=False)
 
     def __post_init__(self):
         if self.nproc <= 0:
             raise DistributionError(f"nproc must be positive: {self.nproc}")
-        if not (1 <= self.spread <= self.nproc):
+        b = self.b
+        if not (math.isfinite(b) and b > 0):
             raise DistributionError(
-                f"spread must be in [1, NP={self.nproc}]: {self.spread}")
+                f"b must be finite and positive: {b}")
+        group_size, spread = 1, 1
+        if b >= 1:
+            group_size = int(b)
+            if group_size != b:
+                raise DistributionError(f"b must be integral when ≥ 1: {b}")
+        else:
+            spread = round(1.0 / b)
+            if abs(spread * b - 1.0) > 1e-9:
+                raise DistributionError(
+                    f"1/b must be integral when b < 1: {b}")
+            if spread > self.nproc:
+                raise DistributionError(
+                    f"spread must be in [1, NP={self.nproc}]: {spread}")
+        object.__setattr__(self, "group_size", group_size)
+        object.__setattr__(self, "spread", spread)
 
-    version = 3
+    @property
+    def version(self) -> int:
+        """The paper's scheme number: 1, 2 or 3."""
+        if self.spread > 1:
+            return 3
+        return 1 if self.group_size == 1 else 2
 
     def chunk_width(self, block_size: int) -> int:
         """Columns per chunk (``m / spread``)."""
@@ -84,36 +78,21 @@ class SpreadLayout:
                 f"spread {self.spread}")
         return block_size // self.spread
 
-    def owner(self, block: int, chunk: int) -> int:
+    def owner(self, block: int, chunk: int = 0) -> int:
         """PE owning chunk ``chunk`` of block column ``block``."""
         if block < 0 or not (0 <= chunk < self.spread):
             raise DistributionError(
                 f"invalid (block, chunk) = ({block}, {chunk})")
-        return (block * self.spread + chunk) % self.nproc
+        return ((block // self.group_size) * self.spread + chunk) \
+            % self.nproc
+
+    def blocks_of(self, rank: int, num_blocks: int) -> list[int]:
+        """Ascending list of the whole block columns (``spread = 1``)
+        owned by ``rank``."""
+        return [j for j in range(num_blocks) if self.owner(j) == rank]
 
     def chunks_of(self, rank: int, num_blocks: int
                   ) -> list[tuple[int, int]]:
         """Ascending list of (block, chunk) pairs owned by ``rank``."""
-        out = []
-        for j in range(num_blocks):
-            for c in range(self.spread):
-                if self.owner(j, c) == rank:
-                    out.append((j, c))
-        return out
-
-
-def make_layout(nproc: int, *, b: float = 1):
-    """Build the layout the paper's ``b`` parameter selects.
-
-    ``b ≥ 1`` (integer): Versions 1/2 with ``b`` adjacent blocks per PE.
-    ``b < 1``: Version 3 with ``spread = 1/b`` PEs per block.
-    """
-    if b >= 1:
-        bi = int(b)
-        if bi != b:
-            raise DistributionError(f"b must be integral when ≥ 1: {b}")
-        return BlockCyclicLayout(nproc=nproc, group_size=bi)
-    spread = round(1.0 / b)
-    if abs(spread * b - 1.0) > 1e-9:
-        raise DistributionError(f"1/b must be integral when b < 1: {b}")
-    return SpreadLayout(nproc=nproc, spread=spread)
+        return [(j, c) for j in range(num_blocks)
+                for c in range(self.spread) if self.owner(j, c) == rank]

@@ -25,7 +25,7 @@ from repro.errors import (
 )
 from repro.machine.network import Torus3D
 from repro.machine.simulator import Machine, MachineReport
-from repro.parallel.distributions import BlockCyclicLayout
+from repro.parallel.distributions import Layout
 from repro.parallel.spmd import resolve_run
 from repro.toeplitz.block_toeplitz import SymmetricBlockToeplitz
 from repro.utils.lintools import as_panel, from_panel
@@ -44,7 +44,7 @@ class SimulatedRun:
 
     packed: PackedUpper | None
     report: MachineReport
-    layout: object
+    layout: Layout
     block_size: int
     num_blocks: int
     representation: str
@@ -68,7 +68,6 @@ def simulate_factorization(t: SymmetricBlockToeplitz,
                            nproc: int | None = None, *,
                            b: float = 1,
                            plan=None,
-                           layout=None,
                            representation: str | None = None,
                            node_model=None,
                            network: T3DNetworkParameters | None = None,
@@ -88,7 +87,7 @@ def simulate_factorization(t: SymmetricBlockToeplitz,
     b : float
         The paper's distribution parameter: ``b ≥ 1`` selects Versions
         1/2 with ``b`` adjacent blocks per PE; ``b < 1`` selects Version
-        3 with ``spread = 1/b``.  Ignored when ``layout`` is given.
+        3 with ``spread = 1/b``.
     plan : repro.engine.SolverPlan, optional
         A machine-tuned plan: supplies ``nproc``, the distribution
         parameter ``b`` (hence the Version 1/2/3 layout), the
@@ -122,8 +121,8 @@ def simulate_factorization(t: SymmetricBlockToeplitz,
         is not positive), as in the serial and multiprocess factors.
     """
     layout, g, program, representation, _schedule = resolve_run(
-        t, nproc, b=b, plan=plan, layout=layout,
-        representation=representation, schedule=schedule)
+        t, nproc, b=b, plan=plan, representation=representation,
+        schedule=schedule)
     m, p = g.block_size, g.num_blocks
     packed = PackedUpper.zeros(m * p) if collect else None
     machine = Machine(layout.nproc, network=network or T3DNetworkParameters(),
@@ -172,7 +171,7 @@ def simulate_triangular_solve(run, b: np.ndarray, *,
     from repro.parallel.spmd_solve import triangular_solve_program
 
     layout = run.layout
-    if not isinstance(layout, BlockCyclicLayout):
+    if layout.spread != 1:
         raise DistributionError(
             "the distributed solve supports Versions 1/2 "
             "(whole block columns)")

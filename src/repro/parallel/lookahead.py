@@ -53,7 +53,7 @@ from repro.core.schur_spd import (
     build_transform,
 )
 from repro.machine.ops import Broadcast, Compute, Put, Recv
-from repro.parallel.distributions import BlockCyclicLayout
+from repro.parallel.distributions import Layout
 from repro.parallel.spmd import column_index
 
 __all__ = ["Ops", "block_cyclic_lookahead_program"]
@@ -81,7 +81,7 @@ class Ops:
         yield Compute(seconds, category=category)
 
 
-def block_cyclic_lookahead_program(ctx, *, layout: BlockCyclicLayout,
+def block_cyclic_lookahead_program(ctx, *, layout: Layout,
                                    m: int, p: int, w: np.ndarray,
                                    gen: np.ndarray,
                                    representation: str = "vy2",
@@ -90,7 +90,7 @@ def block_cyclic_lookahead_program(ctx, *, layout: BlockCyclicLayout,
     """Lookahead rank program (Version 1 layout, NP ≥ 2).
 
     ``gen`` and ``packed`` as in
-    :func:`~repro.parallel.spmd.block_cyclic_program`; ``comm`` is the
+    :func:`~repro.parallel.spmd.bulk_program`; ``comm`` is the
     transport (see the module docstring).
     """
     rank = ctx.rank

@@ -13,8 +13,8 @@ One program, two executors.  Every program is the simulator's own
 generator program, resolved and checked by the same
 :func:`~repro.parallel.spmd.resolve_run` as a simulated run; each worker
 process runs its rank's program (:func:`_program_worker`).  The bulk
-factorization (:func:`~repro.parallel.spmd.block_cyclic_program`,
-:func:`~repro.parallel.spmd.spread_program`) and the triangular solve
+factorization (:func:`~repro.parallel.spmd.bulk_program`, one program
+for Versions 1, 2 and 3) and the triangular solve
 (:func:`~repro.parallel.spmd_solve.triangular_solve_program`) run under
 the op executor, which *interprets* the ops they yield:
 
@@ -98,7 +98,7 @@ from repro.obs.export import merge_rank_traces, span_records
 from repro.obs.schema import SOURCE_MULTIPROCESS
 from repro.obs.spans import Span
 from repro.parallel import transport
-from repro.parallel.distributions import BlockCyclicLayout, SpreadLayout
+from repro.parallel.distributions import Layout
 from repro.parallel.spmd import resolve_run
 from repro.parallel.spmd_solve import triangular_solve_program
 from repro.parallel.transport import SegmentHandle
@@ -287,13 +287,10 @@ def _ring_bytes(words: int, m: int) -> int:
     return 2 * (8 * words + 64 * m * m + 4096)
 
 
-def _largest_shift(layout, m: int, p: int) -> int:
+def _largest_shift(layout: Layout, m: int, p: int) -> int:
     """Words of the largest shift a PE sends: all its upper rows."""
-    if isinstance(layout, SpreadLayout):
-        most = max(len(layout.chunks_of(r, p)) for r in range(layout.nproc))
-        return most * m * layout.chunk_width(m)
-    most = max(len(layout.blocks_of(r, p)) for r in range(layout.nproc))
-    return most * m * m
+    most = max(len(layout.chunks_of(r, p)) for r in range(layout.nproc))
+    return most * m * layout.chunk_width(m)
 
 
 def _comm_segment(sess, nproc: int, ring: int) -> SegmentHandle:
@@ -732,7 +729,7 @@ class MPRun(_WorkerRun):
 
     packed: PackedUpper | None
     nproc: int
-    layout: object
+    layout: Layout
     block_size: int
     num_blocks: int
     representation: str
@@ -762,7 +759,7 @@ class MPSolveRun(_WorkerRun):
 
     x: np.ndarray
     nproc: int
-    layout: object
+    layout: Layout
     block_size: int
     num_blocks: int
     nrhs: int
@@ -852,7 +849,6 @@ def mp_factorization(t: SymmetricBlockToeplitz,
                      nproc: int | None = None, *,
                      b: float = 1,
                      plan=None,
-                     layout=None,
                      representation: str | None = None,
                      collect: bool = True,
                      schedule: str | None = None) -> MPRun:
@@ -861,11 +857,11 @@ def mp_factorization(t: SymmetricBlockToeplitz,
     Parameters mirror
     :func:`~repro.parallel.driver.simulate_factorization`, and the run is
     resolved and checked by the same
-    :func:`~repro.parallel.spmd.resolve_run`: ``b`` (or an explicit
-    ``layout``) selects the paper's Version 1/2/3 distribution, a
-    machine-tuned :class:`~repro.engine.SolverPlan` may supply ``nproc``
-    / ``b`` / ``representation`` / ``schedule``, and ``collect=False``
-    skips writing ``R`` (for timing sweeps).  ``schedule="lookahead"``
+    :func:`~repro.parallel.spmd.resolve_run`: ``b`` selects the paper's
+    Version 1/2/3 distribution, a machine-tuned
+    :class:`~repro.engine.SolverPlan` may supply ``nproc`` / ``b`` /
+    ``representation`` / ``schedule``, and ``collect=False`` skips
+    writing ``R`` (for timing sweeps).  ``schedule="lookahead"``
     runs the Section-7 pipelined schedule (Version 1 layout, NP ≥ 2)
     instead of the barrier-per-step bulk program.
 
@@ -882,8 +878,8 @@ def mp_factorization(t: SymmetricBlockToeplitz,
         in the serial path.
     """
     layout, g, program, representation, schedule = resolve_run(
-        t, nproc, b=b, plan=plan, layout=layout,
-        representation=representation, schedule=schedule)
+        t, nproc, b=b, plan=plan, representation=representation,
+        schedule=schedule)
     ok, reason = multiprocess_available()
     if not ok:
         raise MultiprocessUnavailableError(reason)
@@ -935,7 +931,7 @@ def mp_factorization(t: SymmetricBlockToeplitz,
     return run
 
 
-def mp_triangular_solve(r: PackedUpper | np.ndarray, layout,
+def mp_triangular_solve(r: PackedUpper | np.ndarray, layout: Layout,
                         b: np.ndarray, *, block_size: int) -> MPSolveRun:
     """Solve ``RᵀR x = b`` with the factor column-distributed over
     real worker processes.
@@ -949,7 +945,7 @@ def mp_triangular_solve(r: PackedUpper | np.ndarray, layout,
     level-3 either way.  Returns the solution plus per-PE spans and comm
     counters, which equal the simulated program's.
     """
-    if not isinstance(layout, BlockCyclicLayout):
+    if layout.spread != 1:
         raise DistributionError(
             "the distributed solve supports Versions 1/2 "
             "(whole block columns)")

@@ -1,26 +1,29 @@
-"""SPMD rank programs for the distributed block Schur algorithm.
+"""SPMD rank program for the distributed block Schur algorithm.
 
-Two programs, mirroring the paper's implementation structure (Section
-7.1): a whole-block program for Versions 1/2 (block-cyclic by groups of
-``b``) and a chunked program for Version 3 (each block spread over ``s``
-PEs).  Both follow the bulk-synchronous compute/communicate paradigm with
-a barrier per elimination step, exactly as the paper assumes.
+One bulk program, :func:`bulk_program`, runs all three of the paper's
+distributions (Section 7.1, Figure 5).  Each block column is cut into
+``spread`` column chunks, placed by
+:class:`~repro.parallel.distributions.Layout`: one chunk per block for
+Versions 1/2 (block-cyclic by groups of ``b``), ``s`` chunks on
+adjacent PEs for Version 3.  It follows the
+bulk-synchronous compute/communicate paradigm with a barrier per
+elimination step, exactly as the paper assumes.
 
-Per step ``i`` (whole-block version):
+Per step ``i``:
 
-1. *shift* — every PE forwards the upper halves of its live blocks
-   ``j → j+1``; with cyclic layouts all crossings go to the right
-   neighbor (one ``shmem_put`` of ``O(k_active · m²)`` words);
-2. *build* — the owner of block ``i`` eliminates its lower pivot block
-   against the upper one, producing the block hyperbolic Householder
-   transformation;
+1. *shift* — every PE forwards the upper halves of its live chunks
+   ``(j, c) → (j+1, c)``; all crossings go to the PE ``spread`` places
+   to the right (one ``shmem_put`` of ``O(k_active · m · m/s)`` words);
+2. *build* — for each chunk ``c`` of block ``i`` in turn, its owner
+   eliminates the lower pivot chunk against the upper one, producing the
+   block hyperbolic Householder transformation of those columns;
 3. *broadcast* — the transformation (in the chosen representation, with
    its sparsity-aware volume) goes to all PEs;
-4. *apply* — every PE applies it to its live block columns (level-3);
+4. *apply* — every PE applies it to its later chunks (level-3);
 5. *barrier*.
 
-Version 3 replaces step 2–3 with ``s`` sequential partial builds and
-broadcasts (one per chunk owner), trading extra communication for
+With one chunk per block (Versions 1/2), steps 2–4 run once per block
+step; Version 3 runs them ``s`` times, trading extra communication for
 intra-block parallelism.
 
 The numerics are real: each PE copies its columns out of the generator
@@ -33,7 +36,7 @@ with spread ``s`` matches the serial factor with ``panel = m / s``).
 Compute *time* is charged from the node performance model via the
 step's primitive-call decomposition in :mod:`repro.core.flops`.
 
-The programs are written once and run on two executors: the simulated
+The program is written once and runs on two executors: the simulated
 T3D (:class:`~repro.machine.Machine`, through
 :mod:`repro.parallel.driver`) and real worker processes
 (:mod:`repro.parallel.mp_backend`), which interpret the same ops over
@@ -58,14 +61,9 @@ from repro.core.schur_spd import (
 )
 from repro.errors import DistributionError, ShapeError
 from repro.machine.ops import Barrier, Broadcast, Compute, Put, Recv
-from repro.parallel.distributions import (
-    BlockCyclicLayout,
-    SpreadLayout,
-    make_layout,
-)
+from repro.parallel.distributions import Layout
 
-__all__ = ["block_cyclic_program", "spread_program", "column_index",
-           "resolve_run"]
+__all__ = ["bulk_program", "column_index", "resolve_run"]
 
 
 #: Ends each write of ``R``: free on the simulator, timed as the
@@ -74,7 +72,7 @@ GATHER = Compute(0.0, "gather")
 
 
 def resolve_run(t, nproc: int | None = None, *, b: float = 1, plan=None,
-                layout=None, representation: str | None = None,
+                representation: str | None = None,
                 schedule: str | None = None):
     """Resolve and check one distributed factorization of ``t``.
 
@@ -82,16 +80,16 @@ def resolve_run(t, nproc: int | None = None, *, b: float = 1, plan=None,
     (:func:`~repro.parallel.driver.simulate_factorization` and
     :func:`~repro.parallel.mp_backend.mp_factorization`): ``plan``
     supplies ``nproc``, ``b``, ``representation`` and ``schedule``
-    unless they are given; ``b`` (or an explicit ``layout``) selects the
-    Version 1/2/3 distribution.  Returns ``(layout, generator, program,
+    unless they are given; ``b`` selects the Version 1/2/3
+    distribution.  Returns ``(layout, generator, program,
     representation, schedule)``.
 
     Raises
     ------
     DistributionError
-        Without ``nproc``, for an unknown schedule or layout, for
-        lookahead off the Version 1 layout or on one PE, and for Version
-        3 unless ``spread`` divides ``m``.
+        Without ``nproc``, for an unknown schedule or a ``b`` that names
+        no distribution, for lookahead off the Version 1 layout or on
+        one PE, and for Version 3 unless ``spread`` divides ``m``.
     ShapeError
         For fewer than 2 block columns.
     NotPositiveDefiniteError
@@ -102,7 +100,7 @@ def resolve_run(t, nproc: int | None = None, *, b: float = 1, plan=None,
     if plan is not None:
         if nproc is None:
             nproc = plan.nproc
-        if layout is None and plan.distribution_b is not None:
+        if plan.distribution_b is not None:
             b = plan.distribution_b
         representation = representation or plan.representation
         schedule = schedule or getattr(plan, "schedule", "bulk")
@@ -111,28 +109,21 @@ def resolve_run(t, nproc: int | None = None, *, b: float = 1, plan=None,
     if schedule not in SCHEDULES:
         raise DistributionError(
             f"unknown schedule {schedule!r}; expected one of {SCHEDULES}")
-    if layout is None:
-        if nproc is None:
-            raise DistributionError(
-                "nproc is required (directly or through a SolverPlan)")
-        layout = make_layout(nproc, b=b)
-    m = t.block_size
+    if nproc is None:
+        raise DistributionError(
+            "nproc is required (directly or through a SolverPlan)")
+    layout = Layout(nproc, b)
     if schedule == "lookahead":
         from repro.parallel.lookahead import \
             block_cyclic_lookahead_program as program
-        if not (isinstance(layout, BlockCyclicLayout)
-                and layout.group_size == 1):
+        if layout.version != 1:
             raise DistributionError(
                 "lookahead is implemented for the Version 1 layout")
-        if layout.nproc < 2:
+        if nproc < 2:
             raise DistributionError("lookahead needs at least 2 PEs")
-    elif isinstance(layout, BlockCyclicLayout):
-        program = block_cyclic_program
-    elif isinstance(layout, SpreadLayout):
-        program = spread_program
-        layout.chunk_width(m)         # validates m % spread == 0
     else:
-        raise DistributionError(f"unknown layout {layout!r}")
+        program = bulk_program
+        layout.chunk_width(t.block_size)   # validates m % spread == 0
     if t.num_blocks < 2:
         raise ShapeError("need at least 2 block columns to factor")
     return layout, spd_generator(t), program, representation, schedule
@@ -152,27 +143,32 @@ def column_index(starts, width: int) -> np.ndarray:
             + np.arange(width)).ravel()
 
 
-def _shift(ctx, step, uppers, pos, live, target, owner, dest, src):
-    """Move the upper halves of the ``live`` blocks to their targets.
+def _shift(ctx, step, layout, uppers, pos, live):
+    """Move the upper halves of the ``live`` chunks one block column on.
 
     ``uppers`` is the ``(m, nloc, width)`` view of this PE's upper rows;
-    ``pos`` maps a block key to its slot, and the live blocks sit side
-    by side.  Blocks whose target this PE owns move in place; the others
-    travel to ``dest`` as one stacked array in one ``Put`` (``count``
-    still names one message per block), and the matching array from
-    ``src`` lands in one assignment.
+    ``pos`` maps a chunk ``(j, c)`` to its slot, and the live chunks sit
+    side by side.  Chunk ``(j, c)`` goes to ``(j + 1, c)``: the chunks
+    whose target this PE owns move in place; the others travel to the PE
+    ``spread`` places to the right as one stacked array in one ``Put``
+    (``count`` still names one message per chunk), and the matching
+    array from the PE ``spread`` places to the left lands in one
+    assignment.
     """
-    tgts = [target(j) for j in live]
-    away = np.array([owner(t) != ctx.rank for t in tgts], dtype=bool)
+    rank, nproc, s = ctx.rank, ctx.nproc, layout.spread
+    tgts = [(j + 1, c) for j, c in live]
+    away = np.array([layout.owner(j, c) != rank for j, c in tgts],
+                    dtype=bool)
     first = pos[live[0]] if live else 0
     blocks = uppers[:, first:first + len(live)]
     moves = [([t for t, a in zip(tgts, away) if not a], blocks[:, ~away])]
-    if ctx.nproc > 1:
+    if nproc > 1:
         out = blocks[:, away]                   # a copy, as is ~away's
-        yield Put(dest=dest, tag=("shift", step),
+        yield Put(dest=(rank + s) % nproc, tag=("shift", step),
                   payload=([t for t, a in zip(tgts, away) if a], out),
                   words=out.size, count=out.shape[1], category="shift")
-        moves.append((yield Recv(src=src, tag=("shift", step))))
+        moves.append((yield Recv(src=(rank - s) % nproc,
+                                 tag=("shift", step))))
     for keys, arr in moves:
         try:
             slots = [pos[k] for k in keys]
@@ -184,105 +180,18 @@ def _shift(ctx, step, uppers, pos, live, target, owner, dest, src):
         uppers[:, slots] = arr
 
 
-# ----------------------------------------------------------------------
-# Versions 1 & 2: whole block columns
-# ----------------------------------------------------------------------
-
-def block_cyclic_program(ctx, *, layout: BlockCyclicLayout, m: int, p: int,
-                         w: np.ndarray, gen: np.ndarray,
-                         representation: str = "vy2",
-                         node_model=None, packed=None):
-    """Rank program for Versions 1/2.
+def bulk_program(ctx, *, layout: Layout, m: int, p: int, w: np.ndarray,
+                 gen: np.ndarray, representation: str = "vy2",
+                 node_model=None, packed=None):
+    """Rank program for Versions 1, 2 and 3.
 
     ``gen`` is the whole ``2m × mp`` generator (read only); each PE
-    works on a copy of its own block columns.  When ``packed`` (a
+    works on a copy of its own chunks of ``m / spread`` columns (whole
+    block columns for Versions 1/2).  When ``packed`` (a
     :class:`~repro.core.packed.PackedUpper`) is given, each PE writes
     its blocks of ``R`` into it as they are finished.
     """
-    rank, nproc = ctx.rank, ctx.nproc
-    step = ColumnStep(w, gen.dtype, breakdown_tol=SchurOptions.breakdown_tol)
-    my_blocks = layout.blocks_of(rank, p)
-    cols = column_index([j * m for j in my_blocks], m)
-    data = gen[:, cols]
-    uppers = data[:m].reshape(m, -1, m)
-    pos = {j: idx for idx, j in enumerate(my_blocks)}
-
-    def upper_block(j):
-        return data[:m, pos[j] * m:(pos[j] + 1) * m]
-
-    def lower_block(j):
-        return data[m:, pos[j] * m:(pos[j] + 1) * m]
-
-    def write_row(i):
-        # The pivot block is cut at the diagonal; the blocks right of
-        # it go in one strip.
-        after = bisect.bisect_right(my_blocks, i)
-        if after and my_blocks[after - 1] == i:
-            packed.write_block(i * m, i * m, upper_block(i))
-        packed.write_columns(i * m, cols[after * m:], data[:m, after * m:])
-
-    # R block row 0 is the initial upper generator row.
-    if packed is not None:
-        write_row(0)
-        yield GATHER
-
-    for i in range(1, p):
-        # ---------------- Phase 3 (shift) -------------------------------
-        live = [j for j in my_blocks if i - 1 <= j <= p - 2]
-        yield from _shift(ctx, i, uppers, pos, live, lambda j: j + 1,
-                          layout.owner, (rank + 1) % nproc,
-                          (rank - 1) % nproc)
-
-        # ---------------- Phase 1 (build) -------------------------------
-        pivot_owner = layout.owner(i)
-        payload = None
-        if rank == pivot_owner:
-            payload = build_transform(step, upper_block(i), lower_block(i),
-                                      representation)
-            yield _charge(node_model,
-                          flops.blocking_calls(
-                              m, representation=representation),
-                          "blocking")
-
-        # ---------------- broadcast -------------------------------------
-        words = flops.transform_words(representation, m) + m
-        got = yield Broadcast(root=pivot_owner, payload=payload,
-                              words=words, category="broadcast")
-        u_block, negrows = got
-
-        # ---------------- Phase 2 (apply) -------------------------------
-        active = [j for j in my_blocks if j > i]
-        if active:
-            start = pos[active[0]] * m
-            upv = data[:m, start:]
-            apply_transform(u_block, negrows, upv, data[m:, start:])
-            yield _charge(node_model,
-                          flops.application_calls(
-                              m, upv.shape[1],
-                              representation=representation),
-                          "application")
-
-        if packed is not None:
-            write_row(i)
-            yield GATHER
-
-        yield Barrier()
-
-
-# ----------------------------------------------------------------------
-# Version 3: spread blocks
-# ----------------------------------------------------------------------
-
-def spread_program(ctx, *, layout: SpreadLayout, m: int, p: int,
-                   w: np.ndarray, gen: np.ndarray,
-                   representation: str = "vy2",
-                   node_model=None, packed=None):
-    """Rank program for Version 3 (each block spread over ``s`` PEs).
-
-    ``gen`` and ``packed`` as in :func:`block_cyclic_program`, with
-    chunks of ``m / s`` columns in place of whole block columns.
-    """
-    rank, nproc = ctx.rank, ctx.nproc
+    rank = ctx.rank
     step = ColumnStep(w, gen.dtype, breakdown_tol=SchurOptions.breakdown_tol)
     s = layout.spread
     mc = layout.chunk_width(m)
@@ -310,20 +219,21 @@ def spread_program(ctx, *, layout: SpreadLayout, m: int, p: int,
         packed.write_columns(i * m, cols[after * mc:],
                              data[:m, after * mc:])
 
+    # R block row 0 is the initial upper generator row.
     if packed is not None:
         write_row(0)
         yield GATHER
 
+    last = bisect.bisect_left(my_chunks, (p - 1, 0))
     for i in range(1, p):
-        # ---------------- shift -----------------------------------------
-        live = [(j, c) for (j, c) in my_chunks if i - 1 <= j <= p - 2]
-        yield from _shift(ctx, i, uppers, pos, live,
-                          lambda jc: (jc[0] + 1, jc[1]),
-                          lambda jc: layout.owner(*jc),
-                          (rank + s) % nproc, (rank - s) % nproc)
+        # ---------------- Phase 3 (shift) -------------------------------
+        # The live chunks are those of blocks i − 1 … p − 2.
+        live = my_chunks[bisect.bisect_left(my_chunks, (i - 1, 0)):last]
+        yield from _shift(ctx, i, layout, uppers, pos, live)
 
-        # ------------- s sequential partial builds + broadcasts ---------
+        # ---- s sequential partial builds + broadcasts + applications ----
         for c in range(s):
+            # ------------ Phase 1 (build) -------------------------------
             root = layout.owner(i, c)
             payload = None
             if rank == root:
@@ -335,15 +245,16 @@ def spread_program(ctx, *, layout: SpreadLayout, m: int, p: int,
                                   m, representation=representation,
                                   cols=mc, start_index=c * mc),
                               "blocking")
+
+            # ------------ broadcast -------------------------------------
             words = flops.transform_words(representation, m, k=mc) + mc
             got = yield Broadcast(root=root, payload=payload, words=words,
                                   category="broadcast")
             u_block, negrows = got
-            # apply to chunks strictly after (i, c)
-            active = [jc for jc in my_chunks
-                      if jc[0] > i or (jc[0] == i and jc[1] > c)]
-            if active:
-                start = pos[active[0]] * mc
+
+            # ------------ Phase 2 (apply to chunks after (i, c)) --------
+            start = bisect.bisect_right(my_chunks, (i, c)) * mc
+            if start < data.shape[1]:
                 upv = data[:m, start:]
                 apply_transform(u_block, negrows, upv, data[m:, start:])
                 yield _charge(node_model,

@@ -35,7 +35,7 @@ import bisect
 import numpy as np
 
 from repro.machine.ops import Barrier, Broadcast, Compute, Reduce
-from repro.parallel.distributions import BlockCyclicLayout
+from repro.parallel.distributions import Layout
 from repro.utils.lintools import solve_upper_triangular
 
 __all__ = ["triangular_solve_program"]
@@ -47,7 +47,7 @@ def _charge_flops(node_model, flops: int, length: int, category: str):
     return Compute(node_model.level2.time(flops, max(length, 1)), category)
 
 
-def triangular_solve_program(ctx, *, layout: BlockCyclicLayout, m: int,
+def triangular_solve_program(ctx, *, layout: Layout, m: int,
                              p: int, packed, b: np.ndarray, x: np.ndarray,
                              node_model=None):
     """SPMD program solving ``RᵀR x = b`` from distributed ``R`` columns.

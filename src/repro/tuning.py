@@ -22,6 +22,7 @@ from repro.blas.cray import T3DNetworkParameters, t3d_node_model
 from repro.core.regroup import choose_block_size
 from repro.errors import ShapeError
 from repro.parallel.analytic import analytic_factor_time
+from repro.parallel.distributions import Layout
 
 __all__ = ["DistributionChoice", "TuningResult", "choose_distribution",
            "tune"]
@@ -87,8 +88,8 @@ def choose_distribution(n: int, m: int, nproc: int, *,
                                     representation=representation,
                                     node_model=node_model,
                                     network=network).total
-        version = 3 if b < 1 else (1 if b == 1 else 2)
-        choices.append(DistributionChoice(b=b, version=version,
+        choices.append(DistributionChoice(b=b,
+                                          version=Layout(nproc, b).version,
                                           predicted_seconds=pred))
     choices.sort(key=lambda c: c.predicted_seconds)
     if verify_top > 0:

@@ -166,6 +166,11 @@ class TestSimulate:
                      "--nproc", "4", "--b", "0.5"]) == 0
         assert "v3" in capsys.readouterr().out
 
+    def test_invalid_b_is_an_error(self, first_row_file, capsys):
+        assert main(["simulate", first_row_file, "--nproc", "4",
+                     "--b", "0"]) == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestMisc:
     def test_bench_info(self, capsys):

@@ -27,8 +27,8 @@ from repro.errors import (
 )
 from repro.parallel import (
     DistributedFactorization,
+    Layout,
     factor_distributed,
-    make_layout,
     mp_factorization,
     mp_triangular_solve,
     multiprocess_available,
@@ -157,7 +157,7 @@ class TestMultiprocessSolve:
         for nproc, b in ((3, 1), (2, 2)):
             sim_run = simulate_factorization(t, nproc, b=b)
             _x, sim_rep = simulate_triangular_solve(sim_run, rhs)
-            real = mp_triangular_solve(serial.r, make_layout(nproc, b=b),
+            real = mp_triangular_solve(serial.r, Layout(nproc, b=b),
                                        rhs, block_size=3)
             assert real.broadcast_words_by_rank() == \
                 sim_rep.broadcast_words_by_rank()
@@ -169,7 +169,7 @@ class TestMultiprocessSolve:
     def test_solve_trace_records(self):
         t = ar_block_toeplitz(8, 3, seed=6)
         serial = schur_spd_factor(t)
-        run = mp_triangular_solve(serial.r, make_layout(2, b=1),
+        run = mp_triangular_solve(serial.r, Layout(2, b=1),
                                   np.ones(t.order), block_size=3)
         records = run.to_records()
         pe = [r for r in records if r["name"] == "mp.solve.pe"]
@@ -182,7 +182,7 @@ class TestMultiprocessSolve:
         t = ar_block_toeplitz(8, 3, seed=8)
         serial = schur_spd_factor(t)
         rhs = _rhs(t, 4)
-        run = mp_triangular_solve(serial.r, make_layout(2, b=2), rhs,
+        run = mp_triangular_solve(serial.r, Layout(2, b=2), rhs,
                                   block_size=3)
         np.testing.assert_allclose(run.x, serial.solve(rhs), atol=1e-10)
 
@@ -367,7 +367,7 @@ print("OK")
         for stage in ("attach", "step"):
             monkeypatch.setenv("REPRO_MP_CRASH", f"0:{stage}")
             with pytest.raises(DistributionError):
-                mp_triangular_solve(serial.r, make_layout(2, b=1),
+                mp_triangular_solve(serial.r, Layout(2, b=1),
                                     np.ones(t.order), block_size=3)
         monkeypatch.delenv("REPRO_MP_CRASH")
         if os.path.isdir("/dev/shm"):

@@ -16,10 +16,12 @@ from repro.engine import (
     set_default_cache,
 )
 from repro.errors import (
+    DistributionError,
     InvalidOptionError,
     NotPositiveDefiniteError,
     ShapeError,
 )
+from repro.parallel import Layout
 from repro.toeplitz import (
     BlockToeplitz,
     SymmetricToeplitzBlock,
@@ -161,7 +163,7 @@ class TestPlanSelection:
                          machine=MachineSpec(nproc=4))
         assert pl.nproc == 4
         assert pl.distribution_b is not None
-        assert pl.distribution_version in (1, 2, 3)
+        assert Layout(pl.nproc, pl.distribution_b).version in (1, 2, 3)
 
 
 class TestPlanObject:
@@ -245,6 +247,21 @@ class TestPlanObject:
         d = dict(self.OLD_PLAN_DICT, precision=precision)
         with pytest.raises(InvalidOptionError):
             SolverPlan.from_dict(d)
+
+    @pytest.mark.parametrize("b", [0, -1, np.nan, np.inf, 0.3, 1.5, 0.25])
+    def test_distribution_b_checked_when_planned(self, b):
+        """A ``b`` that names no distribution on NP = 2 (not finite,
+        not positive, neither integral nor of integral inverse, or spread
+        over more PEs than there are) raises when the plan is made,
+        loaded or changed, not when it runs."""
+        t = kms_toeplitz(16, 0.5)
+        with pytest.raises(DistributionError):
+            engine.plan(t, nproc=2, distribution_b=b)
+        pl = engine.plan(t, nproc=2)
+        with pytest.raises(DistributionError):
+            pl.with_(distribution_b=b)
+        with pytest.raises(DistributionError):
+            SolverPlan.from_dict(dict(pl.to_dict(), distribution_b=b))
 
     def test_plans_are_immutable(self):
         pl = engine.plan(kms_toeplitz(8, 0.5))

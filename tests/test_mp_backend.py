@@ -149,11 +149,11 @@ class TestSpawnStartMethod:
                                    atol=1e-10)
 
     def test_panel_solve(self, spawn):
-        from repro.parallel import make_layout, mp_triangular_solve
+        from repro.parallel import Layout, mp_triangular_solve
         t = ar_block_toeplitz(8, 3, seed=5)
         serial = schur_spd_factor(t)
         rhs = np.random.default_rng(3).standard_normal((t.order, 3))
-        run = mp_triangular_solve(serial.r, make_layout(2, b=1), rhs,
+        run = mp_triangular_solve(serial.r, Layout(2, b=1), rhs,
                                   block_size=3)
         assert run.start_method == "spawn"
         np.testing.assert_allclose(run.x, serial.solve(rhs), atol=1e-10)
@@ -167,7 +167,7 @@ class TestSmallRings:
     cores interleave all of it."""
 
     def test_wrapping_rings_give_serial_answers(self, monkeypatch):
-        from repro.parallel import make_layout, mp_backend, mp_triangular_solve
+        from repro.parallel import Layout, mp_backend, mp_triangular_solve
         monkeypatch.setattr(mp_backend, "_ring_bytes", lambda words, m: 1024)
         t = ar_block_toeplitz(10, 3, seed=6)
         serial = schur_spd_factor(t)
@@ -176,7 +176,7 @@ class TestSmallRings:
             np.testing.assert_allclose(run.r, serial.r, atol=1e-10)
         rhs = np.random.default_rng(4).standard_normal((t.order, 32))
         for b in (1, 2):
-            srun = mp_triangular_solve(serial.packed, make_layout(4, b=b),
+            srun = mp_triangular_solve(serial.packed, Layout(4, b=b),
                                        rhs, block_size=3)
             np.testing.assert_allclose(srun.x, serial.solve(rhs),
                                        atol=1e-10)

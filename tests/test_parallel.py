@@ -6,12 +6,7 @@ import pytest
 
 from repro.core.schur_spd import SchurOptions, schur_spd_factor
 from repro.errors import DistributionError
-from repro.parallel import (
-    BlockCyclicLayout,
-    SpreadLayout,
-    analytic_factor_time,
-    simulate_factorization,
-)
+from repro.parallel import analytic_factor_time, simulate_factorization
 from repro.toeplitz import ar_block_toeplitz, indefinite_toeplitz, \
     kms_toeplitz
 
@@ -163,18 +158,6 @@ class TestValidation:
         with pytest.raises(DistributionError):
             simulate_factorization(t, nproc=4, b=0.5)
 
-    def test_explicit_layout(self):
-        t = ar_block_toeplitz(8, 2, seed=11)
-        lay = BlockCyclicLayout(nproc=3, group_size=2)
-        run = simulate_factorization(t, nproc=3, layout=lay)
-        serial = schur_spd_factor(t).r
-        np.testing.assert_allclose(run.r, serial, atol=1e-10)
-
-    def test_unknown_layout_rejected(self):
-        t = ar_block_toeplitz(4, 2, seed=12)
-        with pytest.raises(DistributionError):
-            simulate_factorization(t, nproc=2, layout="bogus")
-
     def test_single_block_rejected(self):
         t = ar_block_toeplitz(1, 2, seed=13)
         from repro.errors import ShapeError
@@ -234,3 +217,60 @@ class TestAnalyticModel:
         from repro.errors import ShapeError
         with pytest.raises(ShapeError):
             analytic_factor_time(10, 3, 4)
+
+    #: Exact ``(b, representation) → (total, by_phase)`` at n = 64,
+    #: m = 4, NP = 4 for Version 1, Version 2 (b = 4) and Version 3 with
+    #: spread 2 (< NP) and 4 (= NP).  The tuner ranks distributions by
+    #: this model, so any change to its arithmetic should show here.
+    PINNED = {
+        (1, "vy2"): (0.002308905454545455, {
+            "shift": 4.0859999999999985e-05, "blocking": 0.0011107,
+            "broadcast": 0.00015999999999999999,
+            "application": 0.0008173454545454545,
+            "barrier": 0.00017999999999999996}),
+        (1, "yty"): (0.0023307418181818173, {
+            "shift": 4.0859999999999985e-05,
+            "blocking": 0.0009403000000000004,
+            "broadcast": 0.00014719999999999997,
+            "application": 0.0010223818181818182,
+            "barrier": 0.00017999999999999996}),
+        (4, "vy2"): (0.002638536363636364, {
+            "shift": 2.1400000000000002e-05, "blocking": 0.0011107,
+            "broadcast": 0.00015999999999999999,
+            "application": 0.001166436363636364,
+            "barrier": 0.00017999999999999996}),
+        (4, "yty"): (0.0027476454545454537, {
+            "shift": 2.1400000000000002e-05,
+            "blocking": 0.0009403000000000004,
+            "broadcast": 0.00014719999999999997,
+            "application": 0.0014587454545454547,
+            "barrier": 0.00017999999999999996}),
+        (0.5, "vy2"): (0.0027868169696969704, {
+            "shift": 6.815333333333332e-05,
+            "blocking": 0.0010643000000000004,
+            "broadcast": 0.00027680000000000017,
+            "application": 0.0011975636363636371,
+            "barrier": 0.00017999999999999996}),
+        (0.5, "yty"): (0.0027555624242424264, {
+            "shift": 6.815333333333332e-05,
+            "blocking": 0.0008938999999999998,
+            "broadcast": 0.00026399999999999997,
+            "application": 0.0013495090909090906,
+            "barrier": 0.00017999999999999996}),
+        (0.25, "vy2"): (0.003828509090909098, {
+            "shift": 0.0001253, "blocking": 0.0010411,
+            "broadcast": 0.0005152000000000003,
+            "application": 0.0019669090909090908,
+            "barrier": 0.00017999999999999996}),
+        (0.25, "yty"): (0.003773490909090912, {
+            "shift": 0.0001253, "blocking": 0.0008706999999999994,
+            "broadcast": 0.0005023999999999996,
+            "application": 0.0020950909090909093,
+            "barrier": 0.00017999999999999996}),
+    }
+
+    @pytest.mark.parametrize("b,rep", sorted(PINNED))
+    def test_pinned_per_version(self, b, rep):
+        """Every Version's prediction, exact to the last bit."""
+        ana = analytic_factor_time(64, 4, 4, b=b, representation=rep)
+        assert (ana.total, ana.by_phase) == self.PINNED[(b, rep)]
